@@ -70,14 +70,9 @@ class StateGraph
                    uint32_t instr_count);
 
     /** Bulk-append edges (one adjacency pass, no per-edge calls);
-     *  sources and destinations must already exist. */
+     *  sources and destinations must already exist. Storage grows
+     *  geometrically, so repeated calls stay amortized O(batch). */
     void addEdges(const std::vector<Edge> &batch);
-
-    /** Pre-size the state containers for @p expected states. */
-    void reserveStates(size_t expected);
-
-    /** Pre-size the edge container for @p expected edges. */
-    void reserveEdges(size_t expected);
 
     /** @return number of states. */
     size_t numStates() const { return outEdges_.size(); }

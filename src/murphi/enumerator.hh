@@ -14,15 +14,16 @@
  *    distinct (src, dst, condition), which catches the Figure 4.2
  *    "fewer behaviours" bug class at the cost of a larger graph.
  *
- * The search runs either sequentially (numThreads == 1) or as a
- * level-synchronous parallel BFS (numThreads > 1): the state hash
- * table is striped into shards keyed by BitVecHash, worker threads
- * expand disjoint slices of the current BFS level interning newly
- * discovered states into the shards under per-shard locks, and state
- * ids are assigned in canonical BFS order at each level barrier. The
- * produced StateGraph is bit-identical for any worker count and
- * matches the sequential search state-for-state and edge-for-edge
- * (see DESIGN.md, "Parallel sharded enumeration").
+ * There is one search: a level-synchronous BFS. Workers (threads, or
+ * forked processes when numProcesses > 1) expand disjoint slices of
+ * the current level and intern destinations into a partitioned state
+ * table with provisional ids; canonical ids are assigned in BFS
+ * discovery order at each level barrier. One worker is the
+ * sequential search. A memory budget pages cold table partitions and
+ * the frontier to disk; no budget keeps everything resident. The
+ * produced StateGraph is bit-identical for every worker count,
+ * process count, budget and step kernel (see DESIGN.md, "The
+ * enumeration engine").
  */
 
 #ifndef ARCHVAL_MURPHI_ENUMERATOR_HH
@@ -91,20 +92,15 @@ struct EnumOptions
      *  vector generator's condition mapping and by debug output). */
     bool retainStates = true;
 
-    /** Emit progress to the log every this many states (0 = never).
-     *  In parallel mode progress is emitted at level barriers. */
-    uint64_t progressInterval = 0;
-
-    /** Worker threads for the level-synchronous parallel search.
-     *  1 = the sequential search; 0 = one per hardware thread. The
-     *  resulting graph is bit-identical for every value. */
+    /** Worker threads that expand each BFS level. 1 = the
+     *  sequential search; 0 = one per hardware thread. The resulting
+     *  graph is bit-identical for every value. */
     unsigned numThreads = 1;
 
     /** Cooperative cancellation: when non-null and it reads true,
-     *  the search stops at the next source (sequential) or level
-     *  barrier (parallel) and run() returns an error result — the
-     *  same recoverable path as maxStates, never a process exit.
-     *  The flag is only read. */
+     *  the search stops at the next level barrier and run() returns
+     *  an error result — the same recoverable path as maxStates,
+     *  never a process exit. The flag is only read. */
     const std::atomic<bool> *cancelFlag = nullptr;
 
     /** Step kernel for frontier expansion (see StepKernel). */
@@ -112,14 +108,13 @@ struct EnumOptions
 
     /**
      * Byte budget for the resident interned-state table (0 =
-     * unbounded, everything stays in memory). A non-zero budget
-     * selects the out-of-core search: the table is partitioned, cold
-     * partitions are paged out to CRC-guarded spill files under
-     * spillDir, and the BFS frontier is spilled between levels. The
-     * produced graph is bit-identical to the in-memory search for
-     * every budget. An unusable spill directory degrades the run
-     * back to in-memory (counted in enum.spill_fallbacks) rather
-     * than failing it.
+     * unbounded, everything stays in memory). Under a non-zero
+     * budget cold table partitions are paged out to CRC-guarded
+     * spill files under spillDir and the BFS frontier is spilled
+     * between levels. The produced graph is bit-identical for every
+     * budget. An unusable spill directory degrades the run back to
+     * fully resident (counted in enum.spill_fallbacks) rather than
+     * failing it.
      */
     size_t memoryBudgetBytes = 0;
 
@@ -128,23 +123,23 @@ struct EnumOptions
     std::string spillDir;
 
     /**
-     * Expansion worker processes (1 = expand in-process). Values
-     * above 1 also select the out-of-core search: frontier slices
-     * are shipped to forked workers over pipes and the raw
-     * transition streams are replayed through the same interning
-     * path the in-process search uses, so the graph stays
-     * bit-identical. A worker dying mid-level degrades to local
-     * re-expansion of its slice (counted in enum.spill_fallbacks).
+     * Expansion worker processes (1 = expand in-process on
+     * numThreads threads). Above 1, frontier slices are shipped to
+     * forked workers over pipes and the raw transition streams are
+     * replayed through the same interning path in-process expansion
+     * uses, so the graph stays bit-identical. A worker dying
+     * mid-level degrades to local re-expansion of its slice
+     * (counted in enum.spill_fallbacks).
      */
     unsigned numProcesses = 1;
 
-    /** Out-of-core table partition count (0 = default; rounded up
-     *  to a power of two). 1 is legal — the pathological single
+    /** State table partition count (0 = default; rounded up to a
+     *  power of two). 1 is legal — the pathological single
      *  partition — and mainly useful for tests. */
     size_t oocPartitions = 0;
 
-    /** Fault-injection hooks for the out-of-core search (testing
-     *  only; see ooc::TestHooks). Not owned. */
+    /** Fault-injection hooks for spill files and worker processes
+     *  (testing only; see ooc::TestHooks). Not owned. */
     const ooc::TestHooks *testHooks = nullptr;
 };
 
@@ -173,11 +168,14 @@ struct EnumStats
     size_t bitsPerState = 0;      ///< packed state width
     double cpuSeconds = 0.0;      ///< enumeration CPU time
     size_t memoryBytes = 0;       ///< graph + hash table footprint
-    uint64_t transitionsTried = 0; ///< choice tuples evaluated
-    uint64_t transitionsValid = 0; ///< tuples that were legal actions
+    /** States expanded x the model's full choice product — the
+     *  search space the paper's permutation loop covers, not the
+     *  number of tuples a sparse generator actually evaluated. */
+    uint64_t transitionsTried = 0;
+    uint64_t transitionsValid = 0; ///< transitions the model produced
 
     unsigned numThreads = 1;      ///< worker threads actually used
-    size_t numShards = 1;         ///< hash table stripes
+    size_t numShards = 1;         ///< state table partitions
 
     /** Kernel that actually ran (Interpreted when the model has no
      *  compiled form and the requested mode fell back). */
@@ -188,7 +186,7 @@ struct EnumStats
     size_t maxShardStates = 0;    ///< final occupancy, fullest shard
     std::vector<LevelStats> levels; ///< per-BFS-level breakdown
 
-    /** @name Out-of-core search (all zero for in-memory runs) @{ */
+    /** @name Paging and worker processes (zero when unused) @{ */
     unsigned numProcesses = 1;    ///< expansion worker processes
     uint64_t spillBytesWritten = 0; ///< spill file bytes written
     uint64_t pageIns = 0;         ///< shard page-in operations
@@ -243,12 +241,9 @@ class Enumerator
     const EnumStats &stats() const { return stats_; }
 
   private:
-    Result<graph::StateGraph> runSequential();
-    Result<graph::StateGraph> runParallel(unsigned num_threads);
-    /** Out-of-core search (enum_ooc.cc): disk-backed frontier,
-     *  partitioned table under a residency budget, optional forked
-     *  expansion workers. Bit-identical output to the above. */
-    Result<graph::StateGraph> runOutOfCore(unsigned num_threads);
+    /** The level-synchronous search on @p num_threads workers (see
+     *  the file comments of enumerator.hh and enumerator.cc). */
+    Result<graph::StateGraph> search(unsigned num_threads);
 
     const fsm::Model &model_;
     EnumOptions options_;

@@ -4,7 +4,7 @@
  * for the BFS frontier and the partitioned state table, plus the
  * forked expansion-worker pool.
  *
- * On-disk format (see DESIGN.md, "Out-of-core sharded enumeration"):
+ * On-disk format (see DESIGN.md, "The enumeration engine"):
  * both file kinds are support::RecordFileWriter/Reader record files
  * — `[magic u32][version u32]` then `[size u64][crc u32][payload]`
  * records — written atomically (temp file + rename) and fully

@@ -78,10 +78,10 @@ struct DesignSpec
 
     /** Out-of-core enumeration knobs (murphi::EnumOptions). All
      *  three are excluded from the fingerprint for the same reason
-     *  as enumThreads/compiledStep: the out-of-core search is held
-     *  to byte-identity with the in-memory one, so neither the
-     *  residency budget, the worker-process count nor the spill
-     *  directory can change any cached product. */
+     *  as enumThreads/compiledStep: the enumerated graph is
+     *  byte-identical for every setting, so neither the residency
+     *  budget, the worker-process count nor the spill directory can
+     *  change any cached product. */
     uint64_t memoryBudgetBytes = 0; ///< 0 = fully in-memory
     unsigned enumProcesses = 1;     ///< forked expansion workers
     std::string spillDir;           ///< spill root ("" = $TMPDIR)

@@ -1,11 +1,12 @@
 /**
  * @file
  * Differential tests of the compiled step kernels (src/compile/):
- * the enumerated state graph must be bit-identical whether frontier
- * states are expanded by the expression-tree interpreter, the scalar
- * bytecode kernel, or the 64-lane bit-sliced kernel — for every HDL
- * corpus design, every worker count in {1, 2, 8}, and the PP FSM
- * (which has no compiled form and must fall back cleanly). Also
+ * the enumerated state graph must be bit-identical to the reference
+ * BFS (enum_reference.hh) whether frontier states are expanded by the
+ * expression-tree interpreter, the scalar bytecode kernel, or the
+ * 64-lane bit-sliced kernel — for every HDL corpus design, every
+ * worker count in {1, 2, 8}, and the PP FSM (which has no compiled
+ * form and must fall back cleanly). Also
  * exercises ragged (non-multiple-of-64) batches against the scalar
  * kernel directly, and the CompiledModel drop-in next().
  */
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "compile/compiled_model.hh"
+#include "enum_reference.hh"
 #include "compile/kernel.hh"
 #include "graph/state_graph.hh"
 #include "hdl/corpus.hh"
@@ -49,8 +51,8 @@ void
 expectAllModesIdentical(const fsm::Model &model)
 {
     murphi::EnumStats stats;
-    const uint64_t reference =
-        enumFingerprint(model, StepKernel::Interpreted, 1);
+    const uint64_t reference = graph::fingerprint(test::referenceEnumerate(
+        model, murphi::EdgeRecording::FirstCondition));
     for (StepKernel kernel : {StepKernel::Interpreted,
                               StepKernel::Bytecode,
                               StepKernel::BitSliced}) {
@@ -85,8 +87,8 @@ TEST(Compile, PpFsmFallsBackToInterpreted)
     ASSERT_EQ(model.compileSpec(), nullptr);
 
     murphi::EnumStats stats;
-    const uint64_t reference =
-        enumFingerprint(model, StepKernel::Interpreted, 1);
+    const uint64_t reference = graph::fingerprint(test::referenceEnumerate(
+        model, murphi::EdgeRecording::FirstCondition));
     EXPECT_EQ(enumFingerprint(model, StepKernel::BitSliced, 1, &stats),
               reference);
     EXPECT_TRUE(stats.compiledFallback);

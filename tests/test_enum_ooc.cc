@@ -1,10 +1,11 @@
 /**
  * @file
- * Differential battery for the out-of-core enumerator: for every
- * corpus design and the PP FSM model, the disk-backed search must
- * produce a graph byte-identical to the in-memory search across
- * every step kernel, worker count, residency budget — including the
- * pathological single-partition table — and process count, and every
+ * Differential battery for the enumerator's paging and worker
+ * processes: for every corpus design and the PP FSM model, the
+ * disk-backed search must produce a graph byte-identical to the
+ * reference BFS (enum_reference.hh) across every step kernel, worker
+ * count, residency budget — including the pathological
+ * single-partition table — and process count, and every
  * injected spill fault (flipped CRC byte, truncated record file,
  * killed worker process, unusable spill directory) must either
  * rebuild the identical graph or surface a typed error, counted in
@@ -21,9 +22,9 @@
 #include <sys/stat.h>
 #include <vector>
 
+#include "enum_reference.hh"
 #include "graph/state_graph.hh"
 #include "hdl/corpus.hh"
-#include "murphi/enum_internal.hh"
 #include "murphi/enumerator.hh"
 #include "murphi/ooc.hh"
 #include "rtl/pp_fsm_model.hh"
@@ -47,38 +48,6 @@ namespace archval
 {
 namespace
 {
-
-/** Serialize every observable byte of a graph (same digest as the
- *  parallel-enumerator suite uses). */
-std::string
-fingerprintBytes(const graph::StateGraph &graph)
-{
-    std::string bytes;
-    auto put64 = [&bytes](uint64_t value) {
-        for (int i = 0; i < 8; ++i)
-            bytes.push_back(char(value >> (8 * i)));
-    };
-    put64(graph.numStates());
-    put64(graph.numEdges());
-    put64(graph.statesRetained());
-    for (graph::StateId s = 0; s < graph.numStates(); ++s) {
-        if (graph.statesRetained()) {
-            const BitVec &packed = graph.packedState(s);
-            put64(packed.numBits());
-            bytes += packed.toString();
-        }
-        for (graph::EdgeId e : graph.outEdges(s))
-            put64(e);
-    }
-    for (graph::EdgeId e = 0; e < graph.numEdges(); ++e) {
-        const graph::Edge &edge = graph.edge(e);
-        put64(edge.src);
-        put64(edge.dst);
-        put64(edge.choiceCode);
-        put64(edge.instrCount);
-    }
-    return bytes;
-}
 
 /** The residency budgets every differential sweeps: effectively
  *  unbounded (paging machinery active, nothing evicted), tight
@@ -106,32 +75,31 @@ baseOptions()
     return options;
 }
 
+/** The reference BFS's bytes for @p options' recording mode and
+ *  retention (see enum_reference.hh). */
 std::string
-inMemoryBaseline(const fsm::Model &model, murphi::EnumOptions options)
+referenceBytes(const fsm::Model &model,
+               const murphi::EnumOptions &options)
 {
-    options.memoryBudgetBytes = 0;
-    options.numProcesses = 1;
-    options.numThreads = 1;
-    murphi::Enumerator sequential(model, options);
-    auto graph = sequential.runOrThrow();
+    auto graph = test::referenceEnumerate(model, options.recording,
+                                          options.retainStates);
     EXPECT_GT(graph.numStates(), 0u);
-    return fingerprintBytes(graph);
+    return test::fingerprintBytes(graph);
 }
 
 /**
- * The tentpole differential: OOC graphs must be byte-identical to
- * the in-memory graph for every kernel x worker count x budget.
+ * The main differential: paged graphs must be byte-identical to the
+ * reference for every kernel x worker count x budget.
  */
 void
 expectOocIdentical(const fsm::Model &model)
 {
+    const std::string expected = referenceBytes(model, baseOptions());
     for (murphi::StepKernel kernel :
          {murphi::StepKernel::Interpreted, murphi::StepKernel::Bytecode,
           murphi::StepKernel::BitSliced}) {
         murphi::EnumOptions options = baseOptions();
         options.compiledStep = kernel;
-        const std::string expected = inMemoryBaseline(model, options);
-
         for (const BudgetCase &budget : kBudgets) {
             for (unsigned workers : {1u, 2u, 8u}) {
                 options.numThreads = workers;
@@ -139,7 +107,7 @@ expectOocIdentical(const fsm::Model &model)
                 options.oocPartitions = budget.partitions;
                 murphi::Enumerator ooc(model, options);
                 auto graph = ooc.runOrThrow();
-                EXPECT_EQ(fingerprintBytes(graph), expected)
+                EXPECT_EQ(test::fingerprintBytes(graph), expected)
                     << model.name() << " kernel " << int(kernel)
                     << " diverges at " << workers << " threads, "
                     << budget.name << " budget";
@@ -187,14 +155,15 @@ TEST(EnumOoc, UnretainedGraphsIdenticalUnderBudget)
     rtl::PpFsmModel model(rtl::PpConfig::smallPreset());
     murphi::EnumOptions options = baseOptions();
     options.retainStates = false;
-    const std::string expected = inMemoryBaseline(model, options);
+    const std::string expected = referenceBytes(model, options);
     for (const BudgetCase &budget : kBudgets) {
         options.numThreads = 2;
         options.memoryBudgetBytes = budget.budgetBytes;
         options.oocPartitions = budget.partitions;
         murphi::Enumerator ooc(model, options);
         auto graph = ooc.runOrThrow();
-        EXPECT_EQ(fingerprintBytes(graph), expected) << budget.name;
+        EXPECT_EQ(test::fingerprintBytes(graph), expected)
+            << budget.name;
         EXPECT_EQ(ooc.stats().spillFallbacks, 0u);
     }
 }
@@ -204,11 +173,11 @@ TEST(EnumOoc, AllConditionsRecordingIdenticalToo)
     rtl::PpFsmModel model(rtl::PpConfig::smallPreset());
     murphi::EnumOptions options = baseOptions();
     options.recording = murphi::EdgeRecording::AllConditions;
-    const std::string expected = inMemoryBaseline(model, options);
+    const std::string expected = referenceBytes(model, options);
     options.numThreads = 4;
     options.memoryBudgetBytes = kBudgets[1].budgetBytes;
     murphi::Enumerator ooc(model, options);
-    EXPECT_EQ(fingerprintBytes(ooc.runOrThrow()), expected);
+    EXPECT_EQ(test::fingerprintBytes(ooc.runOrThrow()), expected);
 }
 
 TEST(EnumOoc, MaxStatesCapStillEnforced)
@@ -231,12 +200,12 @@ TEST(EnumOoc, MultiProcessIdenticalToSingleProcess)
     if (ARCHVAL_TSAN)
         GTEST_SKIP() << "fork without exec is unsupported under TSan";
     rtl::PpFsmModel model(rtl::PpConfig::smallPreset());
+    const std::string expected = referenceBytes(model, baseOptions());
     for (murphi::StepKernel kernel :
          {murphi::StepKernel::Interpreted,
           murphi::StepKernel::BitSliced}) {
         murphi::EnumOptions options = baseOptions();
         options.compiledStep = kernel;
-        const std::string expected = inMemoryBaseline(model, options);
         for (unsigned processes : {2u, 4u}) {
             for (size_t budget :
                  {size_t(0), kBudgets[1].budgetBytes}) {
@@ -244,7 +213,7 @@ TEST(EnumOoc, MultiProcessIdenticalToSingleProcess)
                 options.memoryBudgetBytes = budget;
                 murphi::Enumerator ooc(model, options);
                 auto graph = ooc.runOrThrow();
-                EXPECT_EQ(fingerprintBytes(graph), expected)
+                EXPECT_EQ(test::fingerprintBytes(graph), expected)
                     << processes << " processes, budget " << budget;
                 EXPECT_EQ(ooc.stats().spillFallbacks, 0u);
                 EXPECT_EQ(ooc.stats().numProcesses, processes);
@@ -262,11 +231,11 @@ TEST(EnumOoc, CorpusDesignMultiProcessIdentical)
     const fsm::Model &model = *result.value().model;
     murphi::EnumOptions options = baseOptions();
     options.compiledStep = murphi::StepKernel::Bytecode;
-    const std::string expected = inMemoryBaseline(model, options);
+    const std::string expected = referenceBytes(model, options);
     options.numProcesses = 2;
     options.memoryBudgetBytes = kBudgets[1].budgetBytes;
     murphi::Enumerator ooc(model, options);
-    EXPECT_EQ(fingerprintBytes(ooc.runOrThrow()), expected);
+    EXPECT_EQ(test::fingerprintBytes(ooc.runOrThrow()), expected);
 }
 
 // --- Fault injection ------------------------------------------------
@@ -278,7 +247,7 @@ TEST(EnumOoc, CorruptShardFileRebuildsFromGraph)
 {
     rtl::PpFsmModel model(rtl::PpConfig::smallPreset());
     murphi::EnumOptions options = baseOptions();
-    const std::string expected = inMemoryBaseline(model, options);
+    const std::string expected = referenceBytes(model, options);
 
     bool corrupted = false;
     murphi::ooc::TestHooks hooks;
@@ -296,7 +265,7 @@ TEST(EnumOoc, CorruptShardFileRebuildsFromGraph)
     murphi::Enumerator ooc(model, options);
     auto graph = ooc.runOrThrow();
     EXPECT_TRUE(corrupted) << "tight budget never paged a shard out";
-    EXPECT_EQ(fingerprintBytes(graph), expected);
+    EXPECT_EQ(test::fingerprintBytes(graph), expected);
     EXPECT_GE(ooc.stats().spillFallbacks, 1u);
 }
 
@@ -306,7 +275,7 @@ TEST(EnumOoc, CorruptShardSinglePartitionRebuilds)
 {
     rtl::PpFsmModel model(rtl::PpConfig::smallPreset());
     murphi::EnumOptions options = baseOptions();
-    const std::string expected = inMemoryBaseline(model, options);
+    const std::string expected = referenceBytes(model, options);
     bool corrupted = false;
     murphi::ooc::TestHooks hooks;
     hooks.afterShardPageOut = [&](const std::string &path, size_t) {
@@ -319,7 +288,7 @@ TEST(EnumOoc, CorruptShardSinglePartitionRebuilds)
     options.oocPartitions = 1;
     options.testHooks = &hooks;
     murphi::Enumerator ooc(model, options);
-    EXPECT_EQ(fingerprintBytes(ooc.runOrThrow()), expected);
+    EXPECT_EQ(test::fingerprintBytes(ooc.runOrThrow()), expected);
     EXPECT_TRUE(corrupted);
     EXPECT_GE(ooc.stats().spillFallbacks, 1u);
 }
@@ -330,7 +299,7 @@ TEST(EnumOoc, TruncatedFrontierRebuildsFromGraph)
 {
     rtl::PpFsmModel model(rtl::PpConfig::smallPreset());
     murphi::EnumOptions options = baseOptions();
-    const std::string expected = inMemoryBaseline(model, options);
+    const std::string expected = referenceBytes(model, options);
     bool truncated = false;
     murphi::ooc::TestHooks hooks;
     hooks.afterFrontierWrite = [&](const std::string &path) {
@@ -349,7 +318,7 @@ TEST(EnumOoc, TruncatedFrontierRebuildsFromGraph)
     murphi::Enumerator ooc(model, options);
     auto graph = ooc.runOrThrow();
     EXPECT_TRUE(truncated);
-    EXPECT_EQ(fingerprintBytes(graph), expected);
+    EXPECT_EQ(test::fingerprintBytes(graph), expected);
     EXPECT_GE(ooc.stats().spillFallbacks, 1u);
 }
 
@@ -388,12 +357,12 @@ TEST(EnumOoc, UnusableSpillDirDegradesInMemory)
 {
     rtl::PpFsmModel model(rtl::PpConfig::smallPreset());
     murphi::EnumOptions options = baseOptions();
-    const std::string expected = inMemoryBaseline(model, options);
+    const std::string expected = referenceBytes(model, options);
     options.memoryBudgetBytes = kBudgets[1].budgetBytes;
     options.spillDir = "/dev/null/not-a-directory";
     murphi::Enumerator ooc(model, options);
     auto graph = ooc.runOrThrow();
-    EXPECT_EQ(fingerprintBytes(graph), expected);
+    EXPECT_EQ(test::fingerprintBytes(graph), expected);
     EXPECT_GE(ooc.stats().spillFallbacks, 1u);
     EXPECT_EQ(ooc.stats().pageOuts, 0u);
     EXPECT_EQ(ooc.stats().spillBytesWritten, 0u);
@@ -407,7 +376,7 @@ TEST(EnumOoc, KilledWorkerProcessReexpandsLocally)
         GTEST_SKIP() << "fork without exec is unsupported under TSan";
     rtl::PpFsmModel model(rtl::PpConfig::smallPreset());
     murphi::EnumOptions options = baseOptions();
-    const std::string expected = inMemoryBaseline(model, options);
+    const std::string expected = referenceBytes(model, options);
     bool killed = false;
     murphi::ooc::TestHooks hooks;
     hooks.onLevelStart = [&](size_t level,
@@ -422,7 +391,7 @@ TEST(EnumOoc, KilledWorkerProcessReexpandsLocally)
     murphi::Enumerator ooc(model, options);
     auto graph = ooc.runOrThrow();
     EXPECT_TRUE(killed) << "search ended before level 1";
-    EXPECT_EQ(fingerprintBytes(graph), expected);
+    EXPECT_EQ(test::fingerprintBytes(graph), expected);
     EXPECT_GE(ooc.stats().spillFallbacks, 1u);
 }
 
@@ -506,13 +475,6 @@ TEST(EnumOoc, ShardFileRoundTripsAndRejectsDamage)
         path, static_cast<uint64_t>(st.st_size) / 2));
     EXPECT_FALSE(murphi::ooc::readShardFile(
         path, 7, 33, [](BitVec &&, graph::StateId) {}));
-}
-
-TEST(EnumOoc, ProvisionalIdFlagUnchanged)
-{
-    // The provisional-id encoding is shared between the in-memory
-    // and out-of-core searches; moving it must not change it.
-    EXPECT_EQ(murphi::detail::kPendingFlag, 0x8000'0000u);
 }
 
 } // namespace

@@ -1,11 +1,12 @@
 /**
  * @file
- * Determinism and equivalence suite for the parallel sharded
- * enumerator: for each HDL example design and the PP FSM model, the
- * parallel search at worker counts {1, 2, 8} must produce a graph
- * byte-identical to the sequential search — same ids, same packed
- * states, same edges in the same order — in both edge-recording
- * modes. Registered under the ctest label `enum`.
+ * Determinism and equivalence suite for the enumerator's worker
+ * threads: for each HDL example design and the PP FSM model, the
+ * search at worker counts {1, 2, 8} must produce a graph
+ * byte-identical to the reference BFS (enum_reference.hh) — same
+ * ids, same packed states, same edges in the same order — in both
+ * edge-recording modes. Also pins the mid-preset PP graph's
+ * fingerprint. Registered under the ctest label `enum`.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "enum_reference.hh"
 #include "fsm/built_model.hh"
 #include "hdl/translate.hh"
 #include "murphi/enumerator.hh"
@@ -26,56 +28,27 @@ namespace
 {
 
 /**
- * Serialize every observable byte of a graph: per state the packed
- * vector, per edge (in id order) all four fields, and the adjacency
- * lists. Two graphs with equal fingerprints are interchangeable for
- * every downstream consumer (tours, vectors, fuzzing, coverage).
+ * Enumerate @p model at worker counts {1, 2, 8} and compare each
+ * graph with the reference BFS, and each run's search statistics
+ * with the one-worker run.
  */
-std::string
-fingerprintBytes(const graph::StateGraph &graph)
-{
-    std::string bytes;
-    auto put64 = [&bytes](uint64_t value) {
-        for (int i = 0; i < 8; ++i)
-            bytes.push_back(char(value >> (8 * i)));
-    };
-    put64(graph.numStates());
-    put64(graph.numEdges());
-    put64(graph.statesRetained());
-    for (graph::StateId s = 0; s < graph.numStates(); ++s) {
-        if (graph.statesRetained()) {
-            const BitVec &packed = graph.packedState(s);
-            put64(packed.numBits());
-            bytes += packed.toString();
-        }
-        for (graph::EdgeId e : graph.outEdges(s))
-            put64(e);
-    }
-    for (graph::EdgeId e = 0; e < graph.numEdges(); ++e) {
-        const graph::Edge &edge = graph.edge(e);
-        put64(edge.src);
-        put64(edge.dst);
-        put64(edge.choiceCode);
-        put64(edge.instrCount);
-    }
-    return bytes;
-}
-
-/** Enumerate @p model and compare graphs across worker counts. */
 void
 expectIdenticalAcrossWorkerCounts(const fsm::Model &model,
                                   murphi::EdgeRecording recording,
                                   bool retain_states = true)
 {
+    const graph::StateGraph baseline =
+        test::referenceEnumerate(model, recording, retain_states);
+    const std::string expected = test::fingerprintBytes(baseline);
+    ASSERT_GT(baseline.numStates(), 0u);
+
     murphi::EnumOptions options;
     options.recording = recording;
     options.retainStates = retain_states;
-
     options.numThreads = 1;
-    murphi::Enumerator sequential(model, options);
-    auto baseline = sequential.runOrThrow();
-    const std::string expected = fingerprintBytes(baseline);
-    ASSERT_GT(baseline.numStates(), 0u);
+    murphi::Enumerator one_worker(model, options);
+    one_worker.runOrThrow();
+    const murphi::EnumStats &want = one_worker.stats();
 
     for (unsigned threads : {1u, 2u, 8u}) {
         options.numThreads = threads;
@@ -83,7 +56,7 @@ expectIdenticalAcrossWorkerCounts(const fsm::Model &model,
         auto graph = parallel.runOrThrow();
 
         // Byte-identical, and state-for-state / edge-for-edge equal.
-        EXPECT_EQ(fingerprintBytes(graph), expected)
+        EXPECT_EQ(test::fingerprintBytes(graph), expected)
             << model.name() << " diverges at " << threads
             << " threads";
         ASSERT_EQ(graph.numStates(), baseline.numStates());
@@ -99,33 +72,29 @@ expectIdenticalAcrossWorkerCounts(const fsm::Model &model,
         }
         for (graph::EdgeId e = 0; e < graph.numEdges(); ++e) {
             const graph::Edge &got = graph.edge(e);
-            const graph::Edge &want = baseline.edge(e);
-            ASSERT_EQ(got.src, want.src) << "edge " << e;
-            ASSERT_EQ(got.dst, want.dst) << "edge " << e;
-            ASSERT_EQ(got.choiceCode, want.choiceCode)
+            const graph::Edge &edge = baseline.edge(e);
+            ASSERT_EQ(got.src, edge.src) << "edge " << e;
+            ASSERT_EQ(got.dst, edge.dst) << "edge " << e;
+            ASSERT_EQ(got.choiceCode, edge.choiceCode)
                 << "edge " << e;
-            ASSERT_EQ(got.instrCount, want.instrCount)
+            ASSERT_EQ(got.instrCount, edge.instrCount)
                 << "edge " << e;
         }
 
         // Search-shape statistics are scheduling-independent too.
-        EXPECT_EQ(parallel.stats().numStates,
-                  sequential.stats().numStates);
-        EXPECT_EQ(parallel.stats().numEdges,
-                  sequential.stats().numEdges);
-        EXPECT_EQ(parallel.stats().transitionsTried,
-                  sequential.stats().transitionsTried);
-        EXPECT_EQ(parallel.stats().transitionsValid,
-                  sequential.stats().transitionsValid);
-        ASSERT_EQ(parallel.stats().levels.size(),
-                  sequential.stats().levels.size());
-        for (size_t i = 0; i < parallel.stats().levels.size(); ++i) {
-            EXPECT_EQ(parallel.stats().levels[i].frontierWidth,
-                      sequential.stats().levels[i].frontierWidth);
-            EXPECT_EQ(parallel.stats().levels[i].newStates,
-                      sequential.stats().levels[i].newStates);
-            EXPECT_EQ(parallel.stats().levels[i].newEdges,
-                      sequential.stats().levels[i].newEdges);
+        const murphi::EnumStats &stats = parallel.stats();
+        EXPECT_EQ(stats.numStates, baseline.numStates());
+        EXPECT_EQ(stats.numEdges, baseline.numEdges());
+        EXPECT_EQ(stats.transitionsTried, want.transitionsTried);
+        EXPECT_EQ(stats.transitionsValid, want.transitionsValid);
+        ASSERT_EQ(stats.levels.size(), want.levels.size());
+        for (size_t i = 0; i < stats.levels.size(); ++i) {
+            EXPECT_EQ(stats.levels[i].frontierWidth,
+                      want.levels[i].frontierWidth);
+            EXPECT_EQ(stats.levels[i].newStates,
+                      want.levels[i].newStates);
+            EXPECT_EQ(stats.levels[i].newEdges,
+                      want.levels[i].newEdges);
         }
     }
 }
@@ -269,6 +238,23 @@ TEST(EnumParallel, WideShallowModelExercisesSlicing)
             return next;
         });
     expectIdenticalInBothModes(*model);
+}
+
+TEST(EnumParallel, MidPresetPpGoldenFingerprint)
+{
+    // Pinned figures of the mid PP (the full preset without model
+    // alignment). The differentials above compare the engine with the
+    // reference BFS; this catches a change that moves both at once.
+    rtl::PpConfig config = rtl::PpConfig::fullPreset();
+    config.modelAlignment = false;
+    rtl::PpFsmModel model(config);
+    murphi::EnumOptions options;
+    options.numThreads = 2;
+    murphi::Enumerator enumerator(model, options);
+    auto graph = enumerator.runOrThrow();
+    EXPECT_EQ(graph.numStates(), 81356u);
+    EXPECT_EQ(graph.numEdges(), 693946u);
+    EXPECT_EQ(graph::fingerprint(graph), 0x6ab972164c87dcbcull);
 }
 
 } // namespace

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the support library: bit vectors, RNG, strings,
- * stats, status types.
+ * status types.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include "support/json.hh"
 #include "support/memusage.hh"
 #include "support/rng.hh"
-#include "support/stats.hh"
 #include "support/status.hh"
 #include "support/strings.hh"
 
@@ -244,37 +243,6 @@ TEST(Strings, HumanSeconds)
     EXPECT_EQ(humanSeconds(30.0), "30.0 secs");
     EXPECT_EQ(humanSeconds(24 * 60.0), "24.0 mins");
     EXPECT_EQ(humanSeconds(58.9 * 3600.0), "58.9 hours");
-}
-
-TEST(Stats, CountersAccumulate)
-{
-    StatSet stats;
-    stats.add("x");
-    stats.add("x", 4);
-    EXPECT_EQ(stats.counter("x"), 5u);
-    EXPECT_EQ(stats.counter("absent"), 0u);
-}
-
-TEST(Stats, ScalarTracksMinMaxMean)
-{
-    StatSet stats;
-    stats.sample("lat", 1.0);
-    stats.sample("lat", 3.0);
-    stats.sample("lat", 2.0);
-    auto s = stats.scalar("lat");
-    EXPECT_EQ(s.count(), 3u);
-    EXPECT_DOUBLE_EQ(s.min(), 1.0);
-    EXPECT_DOUBLE_EQ(s.max(), 3.0);
-    EXPECT_DOUBLE_EQ(s.mean(), 2.0);
-}
-
-TEST(Stats, RenderContainsEntries)
-{
-    StatSet stats;
-    stats.add("edges", 1234);
-    auto text = stats.render();
-    EXPECT_NE(text.find("edges"), std::string::npos);
-    EXPECT_NE(text.find("1,234"), std::string::npos);
 }
 
 TEST(Status, FatalThrows)

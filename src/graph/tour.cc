@@ -5,6 +5,7 @@
 
 #include "support/status.hh"
 #include "support/strings.hh"
+#include "support/telemetry.hh"
 #include "support/timer.hh"
 
 namespace archval::graph
@@ -265,6 +266,8 @@ splitNestedPrefixes(const StateGraph &graph, const Trace &full,
 std::vector<Trace>
 TourGenerator::run()
 {
+    telemetry::ScopedSpan span("graph.tour_run", "edges",
+                               graph_.numEdges());
     CpuTimer timer;
 
     const bool nested = options_.nestedPrefixSplits &&

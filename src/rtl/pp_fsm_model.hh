@@ -117,8 +117,9 @@ class PpFsmModel : public fsm::Model
     PpControlState unpack(const BitVec &packed) const;
 
     /** Re-run the control for (state, choice) to recover the cycle's
-     *  outputs (used by the vector generator). */
-    PpOutputs outputsFor(const BitVec &state,
+     *  outputs (used by the vector generator, which has already
+     *  unpacked the state). */
+    PpOutputs outputsFor(const PpControlState &state,
                          const fsm::Choice &choice) const;
 
     /**

@@ -1,6 +1,7 @@
 #include "trace_io.hh"
 
 #include <algorithm>
+#include <cctype>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -14,6 +15,19 @@ namespace
 {
 
 constexpr const char *magic = "archval-trace 1";
+
+/** Parse a word token: 1-8 hex digits and nothing else. */
+bool
+parseHexWord(const std::string &token, uint32_t &word)
+{
+    if (token.empty() || token.size() > 8 ||
+        !std::all_of(token.begin(), token.end(), [](unsigned char c) {
+            return std::isxdigit(c) != 0;
+        }))
+        return false;
+    word = static_cast<uint32_t>(std::stoul(token, nullptr, 16));
+    return true;
+}
 
 } // namespace
 
@@ -99,6 +113,15 @@ deserializeTrace(const std::string &text)
         return err("signal arity mismatch (different model "
                    "version?)");
 
+    // Each cycle line is at least "C" and one " <digit>" per signal;
+    // a count the rest of the input cannot hold is rejected before it
+    // sizes an allocation.
+    const std::streamoff pos = in.tellg();
+    const size_t remaining =
+        pos < 0 ? 0 : text.size() - static_cast<size_t>(pos);
+    if (num_cycles > remaining / (2 * num_vars + 1))
+        return err(formatString("cycle count %zu exceeds the input",
+                                num_cycles));
     trace.cycles.reserve(num_cycles);
     for (size_t i = 0; i < num_cycles; ++i) {
         if (!std::getline(in, line) || line.empty() || line[0] != 'C')
@@ -132,8 +155,12 @@ deserializeTrace(const std::string &text)
             std::istringstream word_line(line.substr(1));
             std::string token;
             while (got < count && word_line >> token) {
-                words.push_back(static_cast<uint32_t>(
-                    std::strtoul(token.c_str(), nullptr, 16)));
+                uint32_t word = 0;
+                if (!parseHexWord(token, word))
+                    return Result<bool>::error(
+                        "trace parse: bad " + std::string(name) +
+                        " word '" + token + "'");
+                words.push_back(word);
                 ++got;
             }
         }

@@ -3,6 +3,7 @@
 #include "pp/isa.hh"
 #include "support/status.hh"
 #include "support/strings.hh"
+#include "support/telemetry.hh"
 
 namespace archval::vecgen
 {
@@ -49,21 +50,116 @@ varIndex(PpChoiceVar var)
     return static_cast<size_t>(var);
 }
 
+void
+requireStates(const graph::StateGraph &graph)
+{
+    if (!graph.statesRetained())
+        fatal("vector generation needs retained states "
+              "(EnumOptions::retainStates)");
+}
+
 } // namespace
 
 VectorGenerator::VectorGenerator(const rtl::PpFsmModel &model,
                                  uint64_t seed)
-    : model_(model), codec_(model.makeChoiceCodec()), seed_(seed)
+    : model_(model), codec_(model.makeChoiceCodec()),
+      conflictCheckDropped_(model.config().mutations.test(
+          static_cast<size_t>(rtl::MutationId::ConflictDropsLoadCheck))),
+      seed_(seed)
 {
+}
+
+uint32_t
+VectorGenerator::tupleFor(uint64_t choice_code)
+{
+    auto [it, added] = tupleOfCode_.try_emplace(
+        choice_code, static_cast<uint32_t>(tuples_.size()));
+    if (added) {
+        ForcedTuple tuple{{}, codec_.decode(choice_code)};
+        for (size_t i = 0;
+             i < rtl::numPpChoiceVars && i < tuple.choice.size(); ++i)
+            tuple.signals[i] = tuple.choice[i];
+        tuples_.push_back(std::move(tuple));
+    }
+    return it->second;
+}
+
+VectorGenerator::EdgeFacts
+VectorGenerator::factsFor(const graph::StateGraph &graph,
+                          graph::EdgeId edge_id)
+{
+    const graph::Edge &edge = graph.edge(edge_id);
+    const uint32_t tuple = tupleFor(edge.choiceCode);
+    const fsm::Choice &choice = tuples_[tuple].choice;
+    const rtl::PpControlState st =
+        model_.unpack(graph.packedState(edge.src));
+    const rtl::PpOutputs out = model_.outputsFor(st, choice);
+
+    EdgeFacts facts{};
+    facts.tuple = tuple;
+    facts.fetchClass = out.fetchClass;
+    facts.fetchCount = static_cast<uint8_t>(out.fetchCount);
+    facts.fetch = out.fetch;
+    facts.advance = out.advance;
+    facts.branchTaken = out.branchTaken;
+    facts.storeCommit = out.storeCommit;
+    facts.storeIssued = out.storeProbe ||
+                        (out.critWord && st.memClass == InstrClass::Store);
+    facts.exBranch = st.exClass == InstrClass::Branch;
+    // The control examined SameLine this cycle for the load in MEM
+    // against the pending store. (A control mutated to skip the check
+    // never examines it, so no constraint is recorded and the load's
+    // address falls back to biased-random — which is how such a bug
+    // gets the chance to collide and manifest.)
+    facts.conflictChecked = st.memClass == InstrClass::Load &&
+                            !st.memDone &&
+                            st.drefill == DRefill::Idle &&
+                            st.storePending && !conflictCheckDropped_;
+    facts.sameLine = choice[varIndex(PpChoiceVar::SameLine)] != 0;
+    return facts;
 }
 
 TestTrace
 VectorGenerator::generate(const graph::StateGraph &graph,
                           const graph::Trace &trace, size_t trace_index)
 {
-    if (!graph.statesRetained())
-        fatal("vector generation needs retained states "
-              "(EnumOptions::retainStates)");
+    return walk(graph, trace, trace_index, nullptr);
+}
+
+std::vector<TestTrace>
+VectorGenerator::generateAll(const graph::StateGraph &graph,
+                             const std::vector<graph::Trace> &traces)
+{
+    std::vector<TestTrace> out;
+    if (traces.empty())
+        return out;
+    requireStates(graph);
+
+    std::vector<EdgeFacts> table(graph.numEdges());
+    {
+        telemetry::ScopedSpan span("vecgen.edge_facts", "edges",
+                                   table.size());
+        for (size_t e = 0; e < table.size(); ++e)
+            table[e] = factsFor(graph, e);
+    }
+
+    uint64_t cycles = 0;
+    for (const graph::Trace &trace : traces)
+        cycles += trace.edges.size();
+    telemetry::ScopedSpan span("vecgen.walk", "traces", traces.size(),
+                               "cycles", cycles);
+    out.reserve(traces.size());
+    for (size_t i = 0; i < traces.size(); ++i)
+        out.push_back(walk(graph, traces[i], i, table.data()));
+    return out;
+}
+
+TestTrace
+VectorGenerator::walk(const graph::StateGraph &graph,
+                      const graph::Trace &trace, size_t trace_index,
+                      const EdgeFacts *table)
+{
+    requireStates(graph);
 
     TestTrace out;
     out.traceIndex = trace_index;
@@ -86,59 +182,37 @@ VectorGenerator::generate(const graph::StateGraph &graph,
 
     for (graph::EdgeId e : trace.edges) {
         prefix_hash = prefixMix(prefix_hash, e);
-        const graph::Edge &edge = graph.edge(e);
-        const BitVec &src = graph.packedState(edge.src);
-        rtl::PpControlState st = model_.unpack(src);
-        fsm::Choice choice = codec_.decode(edge.choiceCode);
-        rtl::PpOutputs cycle_out = model_.outputsFor(src, choice);
+        const EdgeFacts facts = table ? table[e] : factsFor(graph, e);
 
         // Record the forced-signal vector for this cycle verbatim.
-        rtl::ForcedSignals forced{};
-        for (size_t i = 0; i < rtl::numPpChoiceVars && i < choice.size();
-             ++i)
-            forced[i] = choice[i];
-        out.cycles.push_back(forced);
-        out.instructions += cycle_out.fetchCount;
+        out.cycles.push_back(tuples_[facts.tuple].signals);
+        out.instructions += facts.fetchCount;
 
-        // Conflict-check constraint: the control examined SameLine
-        // this cycle for the load in MEM against the pending store.
-        // (A control mutated to skip the check never examines it, so
-        // no constraint is recorded and the load's address falls
-        // back to biased-random — which is how such a bug gets the
-        // chance to collide and manifest.)
-        if (st.memClass == InstrClass::Load && !st.memDone &&
-            st.drefill == DRefill::Idle && st.storePending &&
-            !model_.config().mutations.test(static_cast<size_t>(
-                rtl::MutationId::ConflictDropsLoadCheck))) {
-            if (mem_hold >= 0 && pending_store >= 0) {
-                Skeleton &load = skeletons[mem_hold];
-                if (!load.hasConstraint)
-                    ++stats_.constrainedLoads;
-                load.hasConstraint = true;
-                load.sameLine =
-                    choice[varIndex(PpChoiceVar::SameLine)] != 0;
-                load.storeRef = pending_store;
-            }
+        // Conflict-check constraint on the load in MEM.
+        if (facts.conflictChecked && mem_hold >= 0 &&
+            pending_store >= 0) {
+            Skeleton &load = skeletons[mem_hold];
+            if (!load.hasConstraint)
+                ++stats_.constrainedLoads;
+            load.hasConstraint = true;
+            load.sameLine = facts.sameLine;
+            load.storeRef = pending_store;
         }
 
         // Pending-store tracking (before the commit clears it).
-        if (cycle_out.storeProbe ||
-            (cycle_out.critWord && st.memClass == InstrClass::Store)) {
+        if (facts.storeIssued)
             pending_store = mem_hold;
-        }
-        if (cycle_out.storeCommit)
+        if (facts.storeCommit)
             pending_store = -1;
 
         // Branch resolution bookkeeping (the branch sits in EX).
-        if (st.exClass == InstrClass::Branch && cycle_out.advance &&
-            ex_hold >= 0) {
-            skeletons[ex_hold].branchTaken = cycle_out.branchTaken;
-        }
+        if (facts.exBranch && facts.advance && ex_hold >= 0)
+            skeletons[ex_hold].branchTaken = facts.branchTaken;
 
         // Pipeline occupancy.
-        if (cycle_out.advance) {
+        if (facts.advance) {
             mem_hold = ex_hold;
-            if (cycle_out.branchTaken) {
+            if (facts.branchTaken) {
                 if (rd_hold >= 0) {
                     skeletons[rd_hold].squashed = true;
                     ++stats_.squashedPackets;
@@ -147,10 +221,10 @@ VectorGenerator::generate(const graph::StateGraph &graph,
                 rd_hold = -1;
             } else {
                 ex_hold = rd_hold;
-                if (cycle_out.fetch) {
+                if (facts.fetch) {
                     Skeleton skel;
-                    skel.cls = cycle_out.fetchClass;
-                    skel.count = cycle_out.fetchCount;
+                    skel.cls = facts.fetchClass;
+                    skel.count = facts.fetchCount;
                     skel.seedHash = prefix_hash;
                     skeletons.push_back(skel);
                     rd_hold = static_cast<int>(skeletons.size()) - 1;
@@ -208,6 +282,14 @@ VectorGenerator::generate(const graph::StateGraph &graph,
     // need an exact collision still get exercised.
     bool have_store_addr = false;
     uint32_t last_store_addr = 0;
+
+    size_t fetch_words = 0, retired_words = 0;
+    for (const Skeleton &skel : skeletons) {
+        fetch_words += skel.count;
+        retired_words += skel.squashed ? 0 : skel.count;
+    }
+    out.fetchStream.reserve(fetch_words);
+    out.retiredStream.reserve(retired_words);
 
     for (Skeleton &skel : skeletons) {
         Rng r(skel.seedHash);
@@ -312,17 +394,6 @@ VectorGenerator::generate(const graph::StateGraph &graph,
     ++stats_.traces;
     stats_.cycles += out.cycles.size();
     stats_.instructions += out.instructions;
-    return out;
-}
-
-std::vector<TestTrace>
-VectorGenerator::generateAll(const graph::StateGraph &graph,
-                             const std::vector<graph::Trace> &traces)
-{
-    std::vector<TestTrace> out;
-    out.reserve(traces.size());
-    for (size_t i = 0; i < traces.size(); ++i)
-        out.push_back(generate(graph, traces[i], i));
     return out;
 }
 

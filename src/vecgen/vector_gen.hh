@@ -23,6 +23,12 @@
  *    the same word would produce a false architectural divergence.
  *    The generator records the constraint active at each load's
  *    completing probe and materializes addresses in a second pass.
+ *
+ * The walk reads a few control facts per tour edge (EdgeFacts).
+ * Tours traverse each edge many times, so generateAll computes the
+ * facts once per graph edge into a table and walks every trace
+ * against it; generate() computes them per traversal, which is
+ * cheaper for the short single traces fuzzing and bug hunts convert.
  */
 
 #ifndef ARCHVAL_VECGEN_VECTOR_GEN_HH
@@ -31,10 +37,12 @@
 #include <cstdint>
 #include <deque>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "graph/state_graph.hh"
 #include "graph/tour.hh"
+#include "pp/isa.hh"
 #include "rtl/pp_core.hh"
 #include "rtl/pp_fsm_model.hh"
 #include "support/rng.hh"
@@ -89,11 +97,15 @@ class VectorGenerator
      */
     VectorGenerator(const rtl::PpFsmModel &model, uint64_t seed = 1);
 
-    /** Convert one tour component. */
+    /** Convert one tour component, computing each edge's control
+     *  facts as it walks. */
     TestTrace generate(const graph::StateGraph &graph,
                        const graph::Trace &trace, size_t trace_index = 0);
 
-    /** Convert every tour component. */
+    /** Convert every tour component. Computes the control facts of
+     *  every graph edge once, walks all traces against that table,
+     *  and frees it on return; the output equals calling generate()
+     *  on each trace in order. */
     std::vector<TestTrace> generateAll(
         const graph::StateGraph &graph,
         const std::vector<graph::Trace> &traces);
@@ -108,8 +120,56 @@ class VectorGenerator
     std::string renderForceScript(const TestTrace &trace) const;
 
   private:
+    /**
+     * What the tour walk reads of one graph edge: the forced signals
+     * and the control's outputs for (source state, choice). Kept to
+     * 8 bytes because generateAll holds one per graph edge.
+     */
+    struct EdgeFacts
+    {
+        uint32_t tuple;            ///< index into tuples_
+        pp::InstrClass fetchClass; ///< class of the fetched packet
+        uint8_t fetchCount;        ///< instructions fetched (0-2)
+        bool fetch : 1;            ///< a packet enters RD
+        bool advance : 1;          ///< pipeline registers shift
+        bool branchTaken : 1;      ///< EX branch squashes RD
+        bool storeCommit : 1;      ///< pending store data written
+        bool storeIssued : 1;      ///< a store's probe or critical word
+        bool exBranch : 1;         ///< EX holds a branch
+        bool conflictChecked : 1;  ///< SameLine examined for MEM's load
+        bool sameLine : 1;         ///< the SameLine choice
+    };
+    static_assert(sizeof(EdgeFacts) == 8);
+
+    /** A distinct choice tuple: the forced-signal vector recorded per
+     *  cycle, and the decoded choice the control reads. */
+    struct ForcedTuple
+    {
+        rtl::ForcedSignals signals;
+        fsm::Choice choice;
+    };
+
+    /** @return the control facts of graph edge @p edge. */
+    EdgeFacts factsFor(const graph::StateGraph &graph,
+                       graph::EdgeId edge);
+
+    /** @return the index in tuples_ of @p choice_code, adding it on
+     *  first sight. */
+    uint32_t tupleFor(uint64_t choice_code);
+
+    /** Convert one trace, reading edge facts from @p table (indexed
+     *  by edge id) or, when it is null, computing them per edge. */
+    TestTrace walk(const graph::StateGraph &graph,
+                   const graph::Trace &trace, size_t trace_index,
+                   const EdgeFacts *table);
+
     const rtl::PpFsmModel &model_;
     fsm::ChoiceCodec codec_;
+    /** ConflictDropsLoadCheck is set: the control never examines
+     *  SameLine, so no load gets an address constraint. */
+    bool conflictCheckDropped_;
+    std::vector<ForcedTuple> tuples_;
+    std::unordered_map<uint64_t, uint32_t> tupleOfCode_;
     /**
      * Operand draws are seeded per packet from a hash of (seed_,
      * tour-edge prefix), not from one sequential stream: traces that

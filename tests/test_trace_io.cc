@@ -11,6 +11,7 @@
 
 #include "harness/vector_player.hh"
 #include "murphi/enumerator.hh"
+#include "support/strings.hh"
 #include "vecgen/trace_io.hh"
 
 namespace archval::vecgen
@@ -143,6 +144,53 @@ TEST(TraceIo, RejectsTruncatedInput)
                        text.size() - 5}) {
         EXPECT_FALSE(deserializeTrace(text.substr(0, cut)).ok())
             << "cut at " << cut;
+    }
+}
+
+TEST(TraceIo, RejectsOversizedCycleCount)
+{
+    // A header claiming more cycles than the input holds must fail
+    // typed, not size an allocation from the claim.
+    std::string text = formatString(
+        "archval-trace 1\ntrace 0\ninstructions 0\n"
+        "cycles 100000000000000000 %zu\n",
+        rtl::numPpChoiceVars);
+    auto parsed = deserializeTrace(text);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_NE(parsed.errorMessage().find("cycle count"),
+              std::string::npos)
+        << parsed.errorMessage();
+
+    // One cycle more than the serialized lines is rejected too.
+    TestTrace trace;
+    trace.cycles.assign(3, rtl::ForcedSignals{});
+    std::string good = serializeTrace(trace);
+    ASSERT_TRUE(deserializeTrace(good).ok());
+    std::string header = formatString("cycles 3 %zu",
+                                      rtl::numPpChoiceVars);
+    std::string bad = good;
+    bad.replace(bad.find(header), header.size(),
+                formatString("cycles 4 %zu", rtl::numPpChoiceVars));
+    EXPECT_FALSE(deserializeTrace(bad).ok());
+}
+
+TEST(TraceIo, RejectsMalformedWordToken)
+{
+    TestTrace trace;
+    trace.fetchStream = {0x12345678, 0x9abcdef0};
+    std::string good = serializeTrace(trace);
+    auto parsed = deserializeTrace(good);
+    ASSERT_TRUE(parsed.ok()) << parsed.errorMessage();
+    EXPECT_EQ(parsed.value().fetchStream, trace.fetchStream);
+
+    for (const char *token : {"zz", "1ffffffff", "12x45678", "-1"}) {
+        std::string bad = good;
+        bad.replace(bad.find("12345678"), 8, token);
+        auto r = deserializeTrace(bad);
+        ASSERT_FALSE(r.ok()) << token;
+        EXPECT_NE(r.errorMessage().find("bad fetch word"),
+                  std::string::npos)
+            << r.errorMessage();
     }
 }
 

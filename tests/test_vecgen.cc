@@ -2,10 +2,14 @@
  * @file
  * Tests for the vector generator: stream/cycle accounting, class
  * agreement between tour edges and generated instructions, conflict
- * address constraints, squash filtering, force-script rendering.
+ * address constraints, squash filtering, force-script rendering,
+ * and byte identity between the whole-set and per-trace paths.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <memory>
 
 #include "murphi/enumerator.hh"
 #include "rtl/pp_fsm_model.hh"
@@ -174,6 +178,160 @@ TEST_F(VecGenFixture, StatsAccumulate)
     generator.generate(*graph_, (*traces_)[1 % traces_->size()], 1);
     EXPECT_EQ(generator.stats().traces, 2u);
     EXPECT_GT(generator.stats().cycles, 0u);
+}
+
+/** A model, its enumerated graph and its tours. */
+struct Pipeline
+{
+    std::unique_ptr<PpFsmModel> model;
+    std::unique_ptr<graph::StateGraph> graph;
+    std::vector<graph::Trace> tours;
+};
+
+std::unique_ptr<Pipeline>
+buildPipeline(const PpConfig &config, uint64_t trace_limit)
+{
+    auto p = std::make_unique<Pipeline>();
+    p->model = std::make_unique<PpFsmModel>(config);
+    murphi::Enumerator enumerator(*p->model);
+    p->graph =
+        std::make_unique<graph::StateGraph>(enumerator.runOrThrow());
+    graph::TourOptions options;
+    options.maxInstructionsPerTrace = trace_limit;
+    graph::TourGenerator tours(*p->graph, options);
+    p->tours = tours.run();
+    return p;
+}
+
+/** The mid PP: the full preset without model alignment. */
+PpConfig
+midPreset()
+{
+    PpConfig config = PpConfig::fullPreset();
+    config.modelAlignment = false;
+    return config;
+}
+
+/** FNV-style fold over every field of a vector set. */
+uint64_t
+vectorSetHash(const std::vector<TestTrace> &traces)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    auto fold = [&h](uint64_t value) {
+        h = (h ^ value) * 0x100000001b3ull;
+        h ^= h >> 29;
+    };
+    fold(traces.size());
+    for (const TestTrace &trace : traces) {
+        fold(trace.traceIndex);
+        fold(trace.instructions);
+        fold(trace.cycles.size());
+        for (const rtl::ForcedSignals &signals : trace.cycles) {
+            for (uint32_t value : signals)
+                fold(value);
+        }
+        for (const auto *words :
+             {&trace.fetchStream, &trace.retiredStream}) {
+            fold(words->size());
+            for (uint32_t word : *words)
+                fold(word);
+        }
+        fold(trace.inbox.size());
+        for (uint32_t word : trace.inbox)
+            fold(word);
+    }
+    return h;
+}
+
+/**
+ * generateAll (which walks a per-edge fact table) must give the same
+ * traces and statistics as generate() called trace by trace (which
+ * computes each edge's facts as it walks).
+ * @return the statistics of the whole-set run.
+ */
+VecGenStats
+expectPathsAgree(const Pipeline &p, uint64_t seed)
+{
+    VectorGenerator whole(*p.model, seed), per_trace(*p.model, seed);
+    std::vector<TestTrace> all = whole.generateAll(*p.graph, p.tours);
+    EXPECT_EQ(all.size(), p.tours.size());
+    for (size_t i = 0; i < std::min(all.size(), p.tours.size()); ++i) {
+        TestTrace one = per_trace.generate(*p.graph, p.tours[i], i);
+        EXPECT_EQ(all[i].cycles, one.cycles) << "trace " << i;
+        EXPECT_EQ(all[i].fetchStream, one.fetchStream) << "trace " << i;
+        EXPECT_EQ(all[i].retiredStream, one.retiredStream)
+            << "trace " << i;
+        EXPECT_EQ(all[i].inbox, one.inbox) << "trace " << i;
+        EXPECT_EQ(all[i].instructions, one.instructions)
+            << "trace " << i;
+        EXPECT_EQ(all[i].traceIndex, one.traceIndex) << "trace " << i;
+    }
+    const VecGenStats &a = whole.stats(), &b = per_trace.stats();
+    EXPECT_EQ(a.traces, b.traces);
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.instructions, b.instructions);
+    EXPECT_EQ(a.squashedPackets, b.squashedPackets);
+    EXPECT_EQ(a.constrainedLoads, b.constrainedLoads);
+    return a;
+}
+
+TEST(VecGenPaths, WholeSetMatchesPerTraceSmall)
+{
+    auto p = buildPipeline(PpConfig::smallPreset(), 500);
+    EXPECT_GT(expectPathsAgree(*p, 5).constrainedLoads, 0u);
+}
+
+TEST(VecGenPaths, WholeSetMatchesPerTraceConflictMutation)
+{
+    // The per-edge facts fold this mutation into "conflict check
+    // examined", so both paths must drop the constraints alike.
+    PpConfig config = PpConfig::smallPreset();
+    config.mutations.set(
+        static_cast<size_t>(rtl::MutationId::ConflictDropsLoadCheck));
+    auto p = buildPipeline(config, 500);
+    EXPECT_EQ(expectPathsAgree(*p, 5).constrainedLoads, 0u);
+}
+
+/** The mid PP with 10k-limited tours, built once for the suite. */
+class VecGenMidFixture : public ::testing::Test
+{
+  protected:
+    static void
+    SetUpTestSuite()
+    {
+        mid_ = buildPipeline(midPreset(), 10000).release();
+    }
+
+    static void
+    TearDownTestSuite()
+    {
+        delete mid_;
+        mid_ = nullptr;
+    }
+
+    static Pipeline *mid_;
+};
+
+Pipeline *VecGenMidFixture::mid_ = nullptr;
+
+TEST_F(VecGenMidFixture, WholeSetMatchesPerTrace)
+{
+    expectPathsAgree(*mid_, 1);
+}
+
+TEST_F(VecGenMidFixture, GoldenVectorSetHash)
+{
+    // Pinned output of the mid PP at seed 1. The path comparison
+    // above catches the two paths drifting apart; this catches a
+    // change that moves both at once.
+    VectorGenerator generator(*mid_->model, 1);
+    std::vector<TestTrace> vectors =
+        generator.generateAll(*mid_->graph, mid_->tours);
+    EXPECT_EQ(vectors.size(), 298u);
+    EXPECT_EQ(generator.stats().cycles, 8352779u);
+    EXPECT_EQ(generator.stats().instructions, 2977696u);
+    EXPECT_EQ(generator.stats().constrainedLoads, 158405u);
+    EXPECT_EQ(vectorSetHash(vectors), 0xcd60f85c553c1231ull);
 }
 
 } // namespace

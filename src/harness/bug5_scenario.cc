@@ -15,7 +15,7 @@ namespace
 void
 set(rtl::ForcedSignals &signals, PpChoiceVar var, uint32_t value)
 {
-    signals[static_cast<size_t>(var)] = value;
+    signals[static_cast<size_t>(var)] = static_cast<uint8_t>(value);
 }
 
 } // namespace

@@ -22,7 +22,9 @@
 #ifndef ARCHVAL_RTL_PP_CONTROL_HH
 #define ARCHVAL_RTL_PP_CONTROL_HH
 
+#include <array>
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "pp/isa.hh"
@@ -118,6 +120,20 @@ enum class PpChoiceVar : uint8_t
 /** Number of abstract input variables. */
 constexpr size_t numPpChoiceVars =
     static_cast<size_t>(PpChoiceVar::NumVars);
+
+/** Largest cardinality a choice variable may have; PpFsmModel rejects
+ *  a configuration that exceeds it. */
+constexpr uint32_t maxPpChoiceCardinality = 256;
+
+/**
+ * One cycle of interface signal values, one byte per choice variable:
+ * what the RTL model computes (program mode) or is forced to (vector
+ * mode), and what a generated test trace records per cycle.
+ */
+using ForcedSignals = std::array<uint8_t, numPpChoiceVars>;
+static_assert(sizeof(ForcedSignals) == numPpChoiceVars);
+static_assert(maxPpChoiceCardinality - 1 <=
+              std::numeric_limits<ForcedSignals::value_type>::max());
 
 /** @return printable name of a choice variable. */
 const char *ppChoiceVarName(PpChoiceVar var);

@@ -264,7 +264,9 @@ struct ByteReader
 };
 
 constexpr uint32_t snapshotMagic = 0x41565353u; // "AVSS"
-constexpr uint32_t snapshotVersion = 1;
+/** Bumped whenever the record layout changes, so a record from an
+ *  older build restores as invalid. */
+constexpr uint32_t snapshotVersion = 2;
 
 } // namespace
 
@@ -570,7 +572,7 @@ PpCore::computeSignals()
     s[static_cast<size_t>(PpChoiceVar::IHit)] =
         pc_ < program_.size() ? (icacheProbe(pc_) ? 1 : 0) : 1;
     s[static_cast<size_t>(PpChoiceVar::FetchClass)] =
-        choiceOfClass(fetch_cls);
+        static_cast<uint8_t>(choiceOfClass(fetch_cls));
     if (config_.dualIssue && pc_ + 1 < program_.size()) {
         InstrClass second = pp::classOfWord(program_[pc_ + 1]);
         bool pairable = second == InstrClass::Alu &&
@@ -629,7 +631,7 @@ PpCore::computeSignals()
                           static_cast<uint32_t>(
                               static_cast<int32_t>(d.imm));
             s[static_cast<size_t>(PpChoiceVar::TargetAlign)] =
-                target % config_.lineWords;
+                static_cast<uint8_t>(target % config_.lineWords);
         }
     }
 
@@ -812,11 +814,10 @@ PpCore::step()
     // ------------------------------------------------------------------
     // 1. Assemble this cycle's interface signals.
     // ------------------------------------------------------------------
-    ForcedSignals signals;
+    ForcedSignals computed{};
     if (mode_ == CoreMode::Vector) {
         if (!forcedValid_)
             fatal("vector mode requires forceSignals before step");
-        signals = forced_;
         forcedValid_ = false;
         // The MEM-stage address is still computed from the real
         // datapath (the generator constrained it to be consistent
@@ -829,12 +830,9 @@ PpCore::step()
             memPacket_.ops[0].addrValid = true;
         }
     } else {
-        signals = computeSignals();
+        computed = computeSignals();
     }
-
-    SignalInputs inputs;
-    for (size_t i = 0; i < numPpChoiceVars; ++i)
-        inputs.set(static_cast<PpChoiceVar>(i), signals[i]);
+    SignalInputs inputs(mode_ == CoreMode::Vector ? forced_ : computed);
 
     // ------------------------------------------------------------------
     // 2. Advance the control.

@@ -59,9 +59,6 @@ enum class CoreMode
     Vector,  ///< fetch from a generated stream; signals forced
 };
 
-/** Per-cycle forced signal values for vector mode. */
-using ForcedSignals = std::array<uint32_t, numPpChoiceVars>;
-
 /** Memory/interface timing knobs for program mode. */
 struct CoreTiming
 {

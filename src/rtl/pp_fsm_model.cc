@@ -3,6 +3,7 @@
 #include <bit>
 
 #include "support/status.hh"
+#include "support/strings.hh"
 
 namespace archval::rtl
 {
@@ -61,6 +62,14 @@ PpFsmModel::PpFsmModel(const PpConfig &config) : control_(config)
     };
     if (choiceVars_.size() != numPpChoiceVars)
         panic("choice variable list out of sync with PpChoiceVar");
+    for (const fsm::ChoiceVarInfo &var : choiceVars_) {
+        if (var.cardinality > maxPpChoiceCardinality)
+            fatal(formatString(
+                "choice variable %s has %u values; a forced signal "
+                "holds at most %u",
+                var.name.c_str(), var.cardinality,
+                maxPpChoiceCardinality));
+    }
     codec_ = fsm::ChoiceCodec(choiceVars_);
 }
 

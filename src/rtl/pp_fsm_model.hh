@@ -59,18 +59,19 @@ class ChoiceInputs : public PpInputs
 
 /**
  * PpInputs implementation over concrete signal values (used by the
- * RTL model and by the vector player, where values come from real
- * wires or from force/release commands).
+ * RTL model, where values come from real wires or from force/release
+ * commands). The values are read in place, byte by byte: copying the
+ * 11-byte vector the caller has just stored would reload it with
+ * wider, misaligned loads that stall store-to-load forwarding.
  */
 class SignalInputs : public PpInputs
 {
   public:
-    /** Set the value of @p var for this cycle. */
-    void
-    set(PpChoiceVar var, uint32_t value)
+    /** @param values this cycle's signals; must outlive the reads. */
+    explicit SignalInputs(const ForcedSignals &values) : values_(values)
     {
-        values_[static_cast<size_t>(var)] = value;
     }
+    SignalInputs(ForcedSignals &&) = delete; // would dangle
 
     uint32_t
     read(PpChoiceVar var) override
@@ -79,7 +80,7 @@ class SignalInputs : public PpInputs
     }
 
   private:
-    std::array<uint32_t, numPpChoiceVars> values_{};
+    const ForcedSignals &values_;
 };
 
 /**

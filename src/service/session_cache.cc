@@ -137,6 +137,14 @@ DesignSpec::fromJson(const json::Value &design)
                 fieldError("spillDir", "a string"));
         spec.spillDir = design.get("spillDir").asString();
     }
+    // A taken branch's target alignment is a choice in 0..lineWords-1
+    // and is forced as one byte per cycle.
+    if (line_words > rtl::maxPpChoiceCardinality) {
+        return Result<DesignSpec>::error(fieldError(
+            "lineWords",
+            formatString("at most %u", rtl::maxPpChoiceCardinality)
+                .c_str()));
+    }
     spec.lineWords = static_cast<unsigned>(line_words);
     spec.enumThreads = static_cast<unsigned>(enum_threads);
     spec.enumProcesses =

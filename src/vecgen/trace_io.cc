@@ -4,6 +4,7 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "support/strings.hh"
@@ -29,6 +30,25 @@ parseHexWord(const std::string &token, uint32_t &word)
     return true;
 }
 
+/** Parse a forced-signal token: decimal digits only, at most 255
+ *  (the range of one ForcedSignals element). */
+bool
+parseSignal(const std::string &token, uint8_t &value)
+{
+    if (token.empty())
+        return false;
+    unsigned parsed = 0;
+    for (unsigned char c : token) {
+        if (!std::isdigit(c))
+            return false;
+        parsed = parsed * 10 + (c - '0');
+        if (parsed > std::numeric_limits<uint8_t>::max())
+            return false;
+    }
+    value = static_cast<uint8_t>(parsed);
+    return true;
+}
+
 } // namespace
 
 std::string
@@ -45,8 +65,8 @@ serializeTrace(const TestTrace &trace)
                         rtl::numPpChoiceVars);
     for (const auto &signals : trace.cycles) {
         out += "C";
-        for (uint32_t value : signals)
-            out += formatString(" %u", value);
+        for (uint8_t value : signals)
+            out += formatString(" %u", static_cast<unsigned>(value));
         out += "\n";
     }
 
@@ -128,10 +148,20 @@ deserializeTrace(const std::string &text)
             return err(formatString("bad cycle line %zu", i));
         std::istringstream cycle_line(line.substr(1));
         rtl::ForcedSignals signals{};
-        for (size_t v = 0; v < num_vars; ++v) {
-            if (!(cycle_line >> signals[v]))
-                return err(formatString("short cycle line %zu", i));
+        std::string token;
+        size_t v = 0;
+        for (; cycle_line >> token; ++v) {
+            if (v == num_vars)
+                return err(formatString(
+                    "cycle line %zu has more than %zu signals", i,
+                    num_vars));
+            if (!parseSignal(token, signals[v]))
+                return err(formatString(
+                    "bad signal value '%s' on cycle line %zu",
+                    token.c_str(), i));
         }
+        if (v < num_vars)
+            return err(formatString("short cycle line %zu", i));
         trace.cycles.push_back(signals);
     }
 

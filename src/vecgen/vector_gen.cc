@@ -78,7 +78,7 @@ VectorGenerator::tupleFor(uint64_t choice_code)
         ForcedTuple tuple{{}, codec_.decode(choice_code)};
         for (size_t i = 0;
              i < rtl::numPpChoiceVars && i < tuple.choice.size(); ++i)
-            tuple.signals[i] = tuple.choice[i];
+            tuple.signals[i] = static_cast<uint8_t>(tuple.choice[i]);
         tuples_.push_back(std::move(tuple));
     }
     return it->second;
@@ -415,9 +415,9 @@ VectorGenerator::renderForceScript(const TestTrace &trace) const
         script += formatString("  @cycle_%zu;", cycle);
         for (size_t v = 0; v < vars.size(); ++v) {
             if (vars[v].cardinality > 1) {
-                script += formatString(" force %s = %u;",
-                                       vars[v].name.c_str(),
-                                       signals[v]);
+                script += formatString(
+                    " force %s = %u;", vars[v].name.c_str(),
+                    static_cast<unsigned>(signals[v]));
             }
         }
         // Annotate the instruction entering on a fetch cycle.

@@ -28,6 +28,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 
 #include "harness/replay_engine.hh"
 #include "harness/vector_player.hh"
@@ -229,6 +230,18 @@ TEST_F(CheckpointFixture, DeserializeRejectsDamage)
     EXPECT_FALSE(rtl::PpCore::deserializeSnapshot(
                      *config_, rtl::CoreMode::Vector, bad.data(),
                      bad.size())
+                     .valid());
+
+    // A record from the previous layout (version 1 stored each forced
+    // signal in four bytes) restores as invalid, never as shifted
+    // fields. The version word follows the 4-byte magic.
+    std::vector<uint8_t> old_version = bytes;
+    const uint32_t version_one = 1;
+    std::memcpy(old_version.data() + 4, &version_one,
+                sizeof version_one);
+    EXPECT_FALSE(rtl::PpCore::deserializeSnapshot(
+                     *config_, rtl::CoreMode::Vector,
+                     old_version.data(), old_version.size())
                      .valid());
 }
 

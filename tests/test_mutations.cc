@@ -50,14 +50,18 @@ struct Driver
     step(InstrClass fetch, uint32_t dhit, uint32_t same_line,
          uint32_t ihit = 1)
     {
-        SignalInputs inputs;
-        inputs.set(PpChoiceVar::FetchClass,
-                   static_cast<uint32_t>(fetch) - 1);
-        inputs.set(PpChoiceVar::IHit, ihit);
-        inputs.set(PpChoiceVar::DHit, dhit);
-        inputs.set(PpChoiceVar::SameLine, same_line);
-        inputs.set(PpChoiceVar::InboxReady, 1);
-        inputs.set(PpChoiceVar::OutboxReady, 1);
+        ForcedSignals signals{};
+        auto set = [&signals](PpChoiceVar var, uint32_t value) {
+            signals[static_cast<size_t>(var)] = static_cast<uint8_t>(value);
+        };
+        set(PpChoiceVar::FetchClass,
+            static_cast<uint32_t>(fetch) - 1);
+        set(PpChoiceVar::IHit, ihit);
+        set(PpChoiceVar::DHit, dhit);
+        set(PpChoiceVar::SameLine, same_line);
+        set(PpChoiceVar::InboxReady, 1);
+        set(PpChoiceVar::OutboxReady, 1);
+        SignalInputs inputs(signals);
         PpOutputs out;
         state = control.step(state, inputs, out);
         return out;

@@ -45,19 +45,23 @@ class ControlDriver
     PpOutputs
     step(const Cycle &cycle)
     {
-        SignalInputs inputs;
-        inputs.set(PpChoiceVar::FetchClass,
-                   static_cast<uint32_t>(cycle.fetch) - 1);
-        inputs.set(PpChoiceVar::Dual, cycle.dual);
-        inputs.set(PpChoiceVar::IHit, cycle.ihit);
-        inputs.set(PpChoiceVar::DHit, cycle.dhit);
-        inputs.set(PpChoiceVar::Dirty, cycle.dirty);
-        inputs.set(PpChoiceVar::SameLine, cycle.sameLine);
-        inputs.set(PpChoiceVar::InboxReady, cycle.inboxReady);
-        inputs.set(PpChoiceVar::OutboxReady, cycle.outboxReady);
-        inputs.set(PpChoiceVar::MemReply, cycle.memReply);
-        inputs.set(PpChoiceVar::BranchTaken, cycle.branchTaken);
-        inputs.set(PpChoiceVar::TargetAlign, cycle.targetAlign);
+        ForcedSignals signals{};
+        auto set = [&signals](PpChoiceVar var, uint32_t value) {
+            signals[static_cast<size_t>(var)] = static_cast<uint8_t>(value);
+        };
+        set(PpChoiceVar::FetchClass,
+            static_cast<uint32_t>(cycle.fetch) - 1);
+        set(PpChoiceVar::Dual, cycle.dual);
+        set(PpChoiceVar::IHit, cycle.ihit);
+        set(PpChoiceVar::DHit, cycle.dhit);
+        set(PpChoiceVar::Dirty, cycle.dirty);
+        set(PpChoiceVar::SameLine, cycle.sameLine);
+        set(PpChoiceVar::InboxReady, cycle.inboxReady);
+        set(PpChoiceVar::OutboxReady, cycle.outboxReady);
+        set(PpChoiceVar::MemReply, cycle.memReply);
+        set(PpChoiceVar::BranchTaken, cycle.branchTaken);
+        set(PpChoiceVar::TargetAlign, cycle.targetAlign);
+        SignalInputs inputs(signals);
         PpOutputs outputs;
         state_ = control_.step(state_, inputs, outputs);
         return outputs;

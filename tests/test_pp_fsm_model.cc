@@ -71,6 +71,19 @@ TEST(PpFsmModel, FullPresetEnablesExtensions)
               PpConfig::fullPreset().lineWords);
 }
 
+TEST(PpFsmModel, ChoiceCardinalityFitsForcedSignal)
+{
+    // Target alignment spans lineWords values; a forced signal holds
+    // one byte, so 256 is the largest line the model accepts.
+    PpConfig config = PpConfig::fullPreset();
+    config.lineWords = maxPpChoiceCardinality;
+    PpFsmModel widest(config);
+    EXPECT_EQ(widest.choiceVars()[10].cardinality,
+              maxPpChoiceCardinality);
+    config.lineWords = maxPpChoiceCardinality + 1;
+    EXPECT_THROW(PpFsmModel{config}, FatalError);
+}
+
 TEST(PpFsmModel, NonCanonicalChoiceRejected)
 {
     PpFsmModel model(PpConfig::smallPreset());

@@ -387,6 +387,32 @@ TEST(DesignSpecParse, WrongTypedFieldsAreBadRequests)
     EXPECT_EQ(good.value().preset, "small");
 }
 
+TEST(DesignSpecParse, OutOfRangeLineWordsAreBadRequests)
+{
+    // The target alignment choice spans lineWords values and is
+    // forced one byte per cycle: lineWords above 256 is refused, not
+    // truncated to a different (and silently wrong) design.
+    for (const char *text :
+         {"{\"lineWords\": 257}", "{\"lineWords\": 4294967300}"}) {
+        Result<json::Value> value = json::parse(text);
+        ASSERT_TRUE(value.ok()) << text;
+        Result<DesignSpec> spec = DesignSpec::fromJson(value.value());
+        ASSERT_FALSE(spec.ok()) << text;
+        EXPECT_NE(spec.errorMessage().find("bad request"),
+                  std::string::npos)
+            << spec.errorMessage();
+        EXPECT_NE(spec.errorMessage().find("lineWords"),
+                  std::string::npos)
+            << spec.errorMessage();
+    }
+
+    Result<json::Value> edge = json::parse("{\"lineWords\": 256}");
+    ASSERT_TRUE(edge.ok());
+    Result<DesignSpec> spec = DesignSpec::fromJson(edge.value());
+    ASSERT_TRUE(spec.ok()) << spec.errorMessage();
+    EXPECT_EQ(spec.value().lineWords, 256u);
+}
+
 TEST(JobRequestParse, WrongTypedJobFieldsAreBadRequests)
 {
     auto parse = [](const char *text) {

@@ -194,6 +194,40 @@ TEST(TraceIo, RejectsMalformedWordToken)
     }
 }
 
+TEST(TraceIo, RejectsOutOfRangeSignal)
+{
+    // Each forced signal is one byte: a cycle value must be decimal
+    // digits only, at most 255, and a cycle line must carry exactly
+    // one value per choice variable.
+    TestTrace trace;
+    trace.cycles.assign(1, rtl::ForcedSignals{});
+    trace.cycles[0][0] = 255;
+    std::string good = serializeTrace(trace);
+    auto parsed = deserializeTrace(good);
+    ASSERT_TRUE(parsed.ok()) << parsed.errorMessage();
+    EXPECT_EQ(parsed.value().cycles, trace.cycles);
+
+    const size_t line = good.find("\nC 255");
+    ASSERT_NE(line, std::string::npos);
+    const size_t first = line + 3; // the "255"
+    for (const char *token : {"256", "-1", "4294967296", "7x"}) {
+        std::string bad = good;
+        bad.replace(first, 3, token);
+        auto r = deserializeTrace(bad);
+        ASSERT_FALSE(r.ok()) << token;
+        EXPECT_NE(r.errorMessage().find("bad signal value"),
+                  std::string::npos)
+            << r.errorMessage();
+    }
+
+    std::string extra = good;
+    extra.insert(extra.find('\n', first), " 0");
+    auto r = deserializeTrace(extra);
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.errorMessage().find("more than"), std::string::npos)
+        << r.errorMessage();
+}
+
 TEST(TraceIo, ReadMissingFileFails)
 {
     EXPECT_FALSE(readTraceFile("/nonexistent/path.avt").ok());

@@ -319,6 +319,30 @@ TEST_F(VecGenMidFixture, WholeSetMatchesPerTrace)
     expectPathsAgree(*mid_, 1);
 }
 
+TEST_F(VecGenMidFixture, SignalsWithinCardinality)
+{
+    // A forced signal is one byte; every generated value must also
+    // be a legal choice of its variable, on the table path
+    // (generateAll) and the inline path (generate) alike.
+    const auto &vars = mid_->model->choiceVars();
+    ASSERT_EQ(vars.size(), rtl::numPpChoiceVars);
+    auto expect_in_range = [&](const TestTrace &trace) {
+        for (size_t c = 0; c < trace.cycles.size(); ++c) {
+            for (size_t v = 0; v < vars.size(); ++v) {
+                ASSERT_LT(trace.cycles[c][v], vars[v].cardinality)
+                    << "trace " << trace.traceIndex << " cycle " << c
+                    << " " << vars[v].name;
+            }
+        }
+    };
+    VectorGenerator whole(*mid_->model, 1), per_trace(*mid_->model, 1);
+    for (const TestTrace &trace :
+         whole.generateAll(*mid_->graph, mid_->tours))
+        expect_in_range(trace);
+    for (size_t i = 0; i < mid_->tours.size(); ++i)
+        expect_in_range(per_trace.generate(*mid_->graph, mid_->tours[i], i));
+}
+
 TEST_F(VecGenMidFixture, GoldenVectorSetHash)
 {
     // Pinned output of the mid PP at seed 1. The path comparison

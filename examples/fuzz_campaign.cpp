@@ -44,7 +44,11 @@ main()
     // --- 1. The single-threaded engine: coverage feedback at work.
     std::printf("engine (1 thread, bug-free): corpus growth under "
                 "feedback\n");
-    fuzz::FuzzEngine engine(config, model, graph, /*seed=*/1);
+    // The engine concretizes candidates against the graph's edge
+    // facts, computed once up front (a campaign builds its own).
+    vecgen::EdgeFactTable facts(model, graph);
+    facts.fill();
+    fuzz::FuzzEngine engine(config, model, facts, /*seed=*/1);
     engine.seedCorpus(tours);
     std::printf("  seeded corpus: %zu entries\n",
                 engine.corpus().size());

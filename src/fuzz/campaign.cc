@@ -1,5 +1,6 @@
 #include "campaign.hh"
 
+#include <exception>
 #include <optional>
 #include <thread>
 
@@ -9,6 +10,46 @@
 
 namespace archval::fuzz
 {
+
+namespace
+{
+
+/**
+ * Run @p fn(w) for every worker index w on its own thread (named
+ * fuzz.worker.w, carrying the caller's job id) and join them all.
+ * An exception a worker throws is rethrown here (the lowest worker
+ * index's first).
+ */
+template <typename Fn>
+void
+runOnWorkers(unsigned workers, const Fn &fn)
+{
+    std::vector<std::exception_ptr> errors(workers);
+    std::vector<std::thread> threads;
+    threads.reserve(workers);
+    const uint64_t job_id = telemetry::currentJobId();
+    for (unsigned w = 0; w < workers; ++w) {
+        threads.emplace_back([&fn, &errors, w, job_id] {
+            telemetry::JobScope job_scope(job_id);
+            if (telemetry::tracingEnabled())
+                telemetry::setThreadName(
+                    formatString("fuzz.worker.%u", w));
+            try {
+                fn(w);
+            } catch (...) {
+                errors[w] = std::current_exception();
+            }
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    for (const std::exception_ptr &error : errors) {
+        if (error)
+            std::rethrow_exception(error);
+    }
+}
+
+} // namespace
 
 CampaignRunner::CampaignRunner(const rtl::PpConfig &config,
                                const rtl::PpFsmModel &model,
@@ -33,17 +74,43 @@ CampaignRunner::workerSeed(unsigned worker) const
     return z ^ (z >> 31);
 }
 
+vecgen::EdgeFactTable
+buildEdgeFacts(const rtl::PpFsmModel &model,
+               const graph::StateGraph &graph, unsigned workers)
+{
+    if (workers == 0)
+        fatal("buildEdgeFacts needs at least one worker");
+    telemetry::ScopedSpan span("vecgen.edge_facts", "edges",
+                               graph.numEdges(), "workers", workers);
+    vecgen::EdgeFactTable table(model, graph);
+    runOnWorkers(workers,
+                 [&table, workers](unsigned w) { table.fill(w, workers); });
+    return table;
+}
+
 CampaignResult
 CampaignRunner::run(const rtl::BugSet &bugs,
                     const std::vector<graph::Trace> &seed_tours)
 {
+    return run(bugs, seed_tours,
+               buildEdgeFacts(model_, graph_, options_.workers));
+}
+
+CampaignResult
+CampaignRunner::run(const rtl::BugSet &bugs,
+                    const std::vector<graph::Trace> &seed_tours,
+                    const vecgen::EdgeFactTable &facts)
+{
+    if (&facts.graph() != &graph_)
+        fatal("CampaignRunner: the edge-fact table describes another "
+              "graph");
     const unsigned workers = options_.workers;
 
     std::vector<std::unique_ptr<FuzzEngine>> engines;
     engines.reserve(workers);
     for (unsigned w = 0; w < workers; ++w) {
         engines.push_back(std::make_unique<FuzzEngine>(
-            config_, model_, graph_, workerSeed(w), fuzzOptions_));
+            config_, model_, facts, workerSeed(w), fuzzOptions_));
         // Disjoint seed-evaluation shards; every corpus holds all of
         // its own seeds for mutation.
         engines.back()->seedCorpus(seed_tours, w, workers);
@@ -62,7 +129,7 @@ CampaignRunner::run(const rtl::BugSet &bugs,
                 vecgen::VectorGenerator generator(model_,
                                                   seed.vecgenSeed);
                 seed_traces.push_back(
-                    generator.generate(graph_, seed.trace));
+                    generator.generate(facts, seed.trace));
                 ++counts[w];
             }
         }
@@ -102,29 +169,19 @@ CampaignRunner::run(const rtl::BugSet &bugs,
         std::vector<uint64_t> instr_at_start(workers);
         std::vector<uint64_t> cycles_at_start(workers);
         std::vector<FuzzDetection> outcomes(workers);
-
-        // Workers touch only their private engine during a round;
-        // the model/graph are shared read-only. Results are merged
-        // at the barrier in worker-index order, so thread scheduling
-        // cannot leak into any reported value.
-        std::vector<std::thread> threads;
-        threads.reserve(workers);
-        const uint64_t job_id = telemetry::currentJobId();
         for (unsigned w = 0; w < workers; ++w) {
             instr_at_start[w] = engines[w]->stats().instructions;
             cycles_at_start[w] = engines[w]->stats().cycles;
-            threads.emplace_back([&, w, job_id] {
-                telemetry::JobScope job_scope(job_id);
-                if (telemetry::tracingEnabled()) {
-                    telemetry::setThreadName(
-                        formatString("fuzz.worker.%u", w));
-                }
-                outcomes[w] = engines[w]->run(
-                    bugs, options_.roundInstructions);
-            });
         }
-        for (std::thread &t : threads)
-            t.join();
+
+        // Workers touch only their private engine during a round;
+        // the model, graph and edge facts are shared read-only.
+        // Results are merged at the barrier in worker-index order, so
+        // thread scheduling cannot leak into any reported value.
+        runOnWorkers(workers, [&](unsigned w) {
+            outcomes[w] =
+                engines[w]->run(bugs, options_.roundInstructions);
+        });
 
         // Resolve detections deterministically: lowest worker index
         // wins; latency charges all lower-indexed workers' full
@@ -159,17 +216,20 @@ CampaignRunner::run(const rtl::BugSet &bugs,
         }
 
         // Barrier merge, worker-index order: coverage, hash sets,
-        // then corpus broadcast.
+        // then corpus broadcast. Every engine held the same hash set
+        // when the round began, so exchanging the hashes first seen
+        // this round restores it.
+        telemetry::ScopedSpan barrier_span("fuzz.barrier", "round",
+                                           round);
         harness::CoverageTracker merged(graph_);
-        std::unordered_set<uint64_t> hashes;
+        std::vector<uint64_t> hashes;
+        std::vector<std::vector<CorpusEntry>> adds(workers);
         for (unsigned w = 0; w < workers; ++w) {
             merged.merge(engines[w]->coverage());
-            hashes.insert(engines[w]->seenHashes().begin(),
-                          engines[w]->seenHashes().end());
-        }
-        std::vector<std::vector<CorpusEntry>> adds(workers);
-        for (unsigned w = 0; w < workers; ++w)
+            std::vector<uint64_t> seen = engines[w]->takeRoundHashes();
+            hashes.insert(hashes.end(), seen.begin(), seen.end());
             adds[w] = engines[w]->takeRoundAdds();
+        }
         for (unsigned w = 0; w < workers; ++w) {
             engines[w]->mergeCoverage(merged);
             engines[w]->mergeSeenHashes(hashes);
@@ -213,8 +273,10 @@ makeCampaignFuzzArm(const rtl::PpConfig &config,
                     const std::vector<graph::Trace> &seed_tours,
                     CampaignOptions options, FuzzOptions fuzz_options)
 {
-    return [&config, &model, &graph, &seed_tours, options,
-            fuzz_options](rtl::BugId bug) -> harness::Detection {
+    auto facts = std::make_shared<const vecgen::EdgeFactTable>(
+        buildEdgeFacts(model, graph, options.workers));
+    return [&config, &model, &graph, &seed_tours, options, fuzz_options,
+            facts](rtl::BugId bug) -> harness::Detection {
         CampaignOptions per_bug = options;
         // Decorrelate campaigns across bugs while keeping each one a
         // pure function of (seed, bug, worker-count).
@@ -224,7 +286,7 @@ makeCampaignFuzzArm(const rtl::PpConfig &config,
                               fuzz_options);
         rtl::BugSet bugs;
         bugs.set(static_cast<size_t>(bug));
-        CampaignResult campaign = runner.run(bugs, seed_tours);
+        CampaignResult campaign = runner.run(bugs, seed_tours, *facts);
 
         harness::Detection detection;
         detection.detected = campaign.detected;

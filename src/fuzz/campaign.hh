@@ -7,13 +7,20 @@
  * Determinism scheme: the campaign proceeds in rounds. Within a
  * round every worker runs its own FuzzEngine — private RNG stream,
  * corpus, coverage tracker and architectural-hash set — against the
- * shared read-only model and graph, so thread scheduling cannot
- * influence any worker's results. At the round barrier the workers'
- * feedback state is exchanged in worker-index order: arc coverage is
- * OR-merged, hash sets are unioned, and every entry a worker
- * admitted is broadcast to all other corpora. Detections are
+ * shared read-only model, graph and edge-fact table, so thread
+ * scheduling cannot influence any worker's results. At the round
+ * barrier the workers' feedback state is exchanged in worker-index
+ * order: arc coverage is OR-merged word by word, the hashes each
+ * worker first saw are unioned into every set, and every entry a
+ * worker admitted is broadcast to all other corpora. Detections are
  * likewise resolved in worker-index order, making the reported
  * latency independent of which thread finished first.
+ *
+ * The edge-fact table (vecgen::EdgeFactTable) is built once per
+ * run(), or once per fuzz arm: its tuples are numbered serially and
+ * the workers fill disjoint edge ranges, which gives the same table
+ * for any worker count. The seed conversion and every candidate walk
+ * against it.
  */
 
 #ifndef ARCHVAL_FUZZ_CAMPAIGN_HH
@@ -94,10 +101,18 @@ class CampaignRunner
 
     /**
      * Fuzz against @p bugs, seeding every worker's corpus from
-     * @p seed_tours.
+     * @p seed_tours. Builds the campaign's edge-fact table on the
+     * workers (buildEdgeFacts()) and frees it on return.
      */
     CampaignResult run(const rtl::BugSet &bugs,
                        const std::vector<graph::Trace> &seed_tours);
+
+    /** As above, against the caller's filled edge-fact table of the
+     *  runner's model and graph, so campaigns on one graph can share
+     *  it. */
+    CampaignResult run(const rtl::BugSet &bugs,
+                       const std::vector<graph::Trace> &seed_tours,
+                       const vecgen::EdgeFactTable &facts);
 
   private:
     /** @return the deterministic per-worker engine seed. */
@@ -111,8 +126,19 @@ class CampaignRunner
 };
 
 /**
+ * Build the edge-fact table of @p graph: tuples numbered serially,
+ * then @p workers disjoint edge ranges filled on as many threads
+ * (span `vecgen.edge_facts`). The same table for any worker count.
+ */
+vecgen::EdgeFactTable buildEdgeFacts(const rtl::PpFsmModel &model,
+                                     const graph::StateGraph &graph,
+                                     unsigned workers);
+
+/**
  * Package a fuzz campaign as BugHunt's fourth stimulus arm. The
  * returned closure captures the references; they must outlive it.
+ * It builds the graph's edge-fact table once and keeps it for its
+ * lifetime, so the per-bug campaigns share it.
  */
 harness::FuzzArm
 makeCampaignFuzzArm(const rtl::PpConfig &config,

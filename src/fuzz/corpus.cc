@@ -12,11 +12,19 @@ Corpus::add(Candidate candidate, uint64_t energy, uint64_t new_arcs,
             bool new_state)
 {
     CorpusEntry entry;
-    entry.candidate = std::move(candidate);
-    entry.energy = std::max<uint64_t>(energy, 1);
+    entry.candidate =
+        std::make_shared<const Candidate>(std::move(candidate));
+    entry.energy = energy;
     entry.newArcs = new_arcs;
     entry.newState = new_state;
-    entries_.push_back(std::move(entry));
+    return adopt(entry);
+}
+
+size_t
+Corpus::adopt(const CorpusEntry &entry)
+{
+    entries_.push_back(entry);
+    entries_.back().energy = std::max<uint64_t>(entry.energy, 1);
     if (maxEntries_ && entries_.size() > maxEntries_)
         evictOne();
     return entries_.size() - 1;

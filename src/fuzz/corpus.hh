@@ -15,6 +15,7 @@
 #define ARCHVAL_FUZZ_CORPUS_HH
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "graph/tour.hh"
@@ -33,7 +34,9 @@ struct Candidate
 /** One scheduled corpus entry. */
 struct CorpusEntry
 {
-    Candidate candidate;
+    /** Immutable once admitted, so copies of the entry (a campaign
+     *  broadcasts each admitted entry to every corpus) share it. */
+    std::shared_ptr<const Candidate> candidate;
     uint64_t energy = 0;   ///< scheduling weight (decays on pick)
     uint64_t newArcs = 0;  ///< arcs first covered when admitted
     bool newState = false; ///< admitted for a new architectural hash
@@ -60,6 +63,13 @@ class Corpus
      */
     size_t add(Candidate candidate, uint64_t energy,
                uint64_t new_arcs = 0, bool new_state = false);
+
+    /**
+     * Admit a copy of @p entry (another corpus's entry; the candidate
+     * is shared), clamping its energy to at least 1.
+     * @return index of the new entry.
+     */
+    size_t adopt(const CorpusEntry &entry);
 
     /**
      * Draw an entry with probability proportional to energy and

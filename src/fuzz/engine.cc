@@ -6,19 +6,19 @@
 #include "pp/ref_sim.hh"
 #include "support/strings.hh"
 #include "support/telemetry.hh"
-#include "vecgen/vector_gen.hh"
 
 namespace archval::fuzz
 {
 
 FuzzEngine::FuzzEngine(const rtl::PpConfig &config,
                        const rtl::PpFsmModel &model,
-                       const graph::StateGraph &graph, uint64_t seed,
-                       FuzzOptions options)
-    : config_(config), model_(model), graph_(graph),
-      options_(options), rng_(seed), corpus_(options.corpusMax),
-      mutator_(graph, options.maxTraceInstructions), player_(config),
-      coverage_(graph)
+                       const vecgen::EdgeFactTable &facts,
+                       uint64_t seed, FuzzOptions options)
+    : config_(config), model_(model), facts_(facts),
+      graph_(facts.graph()), options_(options), rng_(seed),
+      corpus_(options.corpusMax),
+      mutator_(graph_, options.maxTraceInstructions), player_(config),
+      coverage_(graph_)
 {
 }
 
@@ -127,7 +127,7 @@ FuzzEngine::evaluate(const Candidate &candidate,
 
     vecgen::VectorGenerator generator(model_, candidate.vecgenSeed);
     vecgen::TestTrace trace =
-        generator.generate(graph_, candidate.trace,
+        generator.generate(facts_, candidate.trace,
                            static_cast<size_t>(stats_.iterations));
 
     harness::PlayResult play =
@@ -137,6 +137,8 @@ FuzzEngine::evaluate(const Candidate &candidate,
 
     uint64_t signature = archSignature(trace);
     bool new_state = seenHashes_.insert(signature).second;
+    if (new_state)
+        roundHashes_.push_back(signature);
 
     if ((new_arcs > 0 || new_state) && !from_seed) {
         uint64_t energy = 1 + 8 * new_arcs + (new_state ? 4 : 0);
@@ -189,8 +191,8 @@ FuzzEngine::step(const rtl::BugSet &bugs)
 
     size_t base_index = corpus_.pick(rng_);
     size_t donor_index = rng_.index(corpus_.size());
-    Candidate base = corpus_.entry(base_index).candidate;
-    Candidate donor = corpus_.entry(donor_index).candidate;
+    const Candidate &base = *corpus_.entry(base_index).candidate;
+    const Candidate &donor = *corpus_.entry(donor_index).candidate;
     auto op = static_cast<MutationOp>(
         rng_.index(static_cast<size_t>(MutationOp::NumOps)));
     Candidate mutant = mutator_.apply(op, base, donor, rng_);
@@ -227,17 +229,16 @@ FuzzEngine::mergeCoverage(const harness::CoverageTracker &other)
 }
 
 void
-FuzzEngine::mergeSeenHashes(const std::unordered_set<uint64_t> &other)
+FuzzEngine::mergeSeenHashes(const std::vector<uint64_t> &hashes)
 {
-    seenHashes_.insert(other.begin(), other.end());
+    seenHashes_.insert(hashes.begin(), hashes.end());
 }
 
 void
 FuzzEngine::adoptEntries(const std::vector<CorpusEntry> &entries)
 {
     for (const CorpusEntry &entry : entries)
-        corpus_.add(entry.candidate, entry.energy, entry.newArcs,
-                    entry.newState);
+        corpus_.adopt(entry);
 }
 
 std::vector<CorpusEntry>
@@ -245,6 +246,14 @@ FuzzEngine::takeRoundAdds()
 {
     std::vector<CorpusEntry> result = std::move(roundAdds_);
     roundAdds_.clear();
+    return result;
+}
+
+std::vector<uint64_t>
+FuzzEngine::takeRoundHashes()
+{
+    std::vector<uint64_t> result = std::move(roundHashes_);
+    roundHashes_.clear();
     return result;
 }
 

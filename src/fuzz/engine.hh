@@ -37,6 +37,7 @@
 #include "harness/coverage.hh"
 #include "harness/vector_player.hh"
 #include "rtl/faults.hh"
+#include "vecgen/vector_gen.hh"
 
 namespace archval::fuzz
 {
@@ -89,12 +90,15 @@ class FuzzEngine
     /**
      * @param config Machine configuration.
      * @param model Enumerated FSM model (concretization).
-     * @param graph Enumerated state graph (mutation + coverage).
+     * @param facts Filled edge facts of the enumerated state graph
+     *              (built from @p model): candidates are concretized
+     *              against it, and its graph drives mutation and
+     *              coverage. Must outlive the engine.
      * @param seed Determines the whole engine behaviour.
      */
     FuzzEngine(const rtl::PpConfig &config,
                const rtl::PpFsmModel &model,
-               const graph::StateGraph &graph, uint64_t seed,
+               const vecgen::EdgeFactTable &facts, uint64_t seed,
                FuzzOptions options = {});
 
     /**
@@ -137,14 +141,14 @@ class FuzzEngine
     /** Fold another engine's arc coverage into this one. */
     void mergeCoverage(const harness::CoverageTracker &other);
 
-    /** Fold another engine's architectural-hash set into this one. */
-    void mergeSeenHashes(const std::unordered_set<uint64_t> &other);
+    /** Fold architectural hashes other engines saw into this one. */
+    void mergeSeenHashes(const std::vector<uint64_t> &hashes);
 
-    /** @return architectural hashes seen so far. */
-    const std::unordered_set<uint64_t> &seenHashes() const
-    {
-        return seenHashes_;
-    }
+    /** @return hashes this engine first saw since the last call
+     *  (merged ones excluded; move-out). Like the admitted entries,
+     *  they are logged until taken: an engine run outside a campaign
+     *  keeps 8 bytes per distinct hash beside its hash set. */
+    std::vector<uint64_t> takeRoundHashes();
 
     /** Adopt corpus entries discovered by another engine (adopted
      *  entries are not re-reported by takeRoundAdds()). */
@@ -190,6 +194,7 @@ class FuzzEngine
 
     rtl::PpConfig config_;
     const rtl::PpFsmModel &model_;
+    const vecgen::EdgeFactTable &facts_;
     const graph::StateGraph &graph_;
     FuzzOptions options_;
     Rng rng_;
@@ -210,6 +215,9 @@ class FuzzEngine
 
     /** Entries admitted since the last takeRoundAdds(). */
     std::vector<CorpusEntry> roundAdds_;
+
+    /** Hashes first seen since the last takeRoundHashes(). */
+    std::vector<uint64_t> roundHashes_;
 };
 
 } // namespace archval::fuzz

@@ -1,20 +1,24 @@
 #include "coverage.hh"
 
+#include <bit>
+
 #include "support/status.hh"
 
 namespace archval::harness
 {
 
 CoverageTracker::CoverageTracker(const graph::StateGraph &graph)
-    : graph_(graph), covered_(graph.numEdges(), false)
+    : graph_(graph), words_((graph.numEdges() + 63) / 64, 0)
 {
 }
 
 void
 CoverageTracker::addEdge(graph::EdgeId edge, uint32_t instr_count)
 {
-    if (!covered_[edge]) {
-        covered_[edge] = true;
+    uint64_t &word = words_[edge / 64];
+    const uint64_t bit = uint64_t{1} << (edge % 64);
+    if (!(word & bit)) {
+        word |= bit;
         ++coveredCount_;
     }
     instructions_ += instr_count;
@@ -37,13 +41,14 @@ CoverageTracker::samplePoint()
 void
 CoverageTracker::merge(const CoverageTracker &other)
 {
-    if (covered_.size() != other.covered_.size())
+    if (graph_.numEdges() != other.graph_.numEdges())
         fatal("CoverageTracker::merge: trackers observe different "
               "graphs");
-    for (size_t e = 0; e < covered_.size(); ++e) {
-        if (other.covered_[e] && !covered_[e]) {
-            covered_[e] = true;
-            ++coveredCount_;
+    for (size_t i = 0; i < words_.size(); ++i) {
+        const uint64_t added = other.words_[i] & ~words_[i];
+        if (added) {
+            words_[i] |= added;
+            coveredCount_ += static_cast<uint64_t>(std::popcount(added));
         }
     }
     instructions_ += other.instructions_;
@@ -53,7 +58,7 @@ CoverageTracker::merge(const CoverageTracker &other)
 void
 CoverageTracker::reset()
 {
-    covered_.assign(covered_.size(), false);
+    words_.assign(words_.size(), 0);
     coveredCount_ = 0;
     instructions_ = 0;
     cycles_ = 0;

@@ -44,10 +44,11 @@ class CoverageTracker
     void samplePoint();
 
     /**
-     * Fold @p other into this tracker: the covered-edge sets are
-     * OR-ed and the instruction/cycle totals summed. Both trackers
-     * must observe the same graph. Sampled curves are per-tracker
-     * and are not merged. Used to combine per-worker trackers.
+     * Fold @p other into this tracker: the covered-edge bitmaps are
+     * OR-ed word by word and the instruction/cycle totals summed.
+     * Both trackers must observe the same graph. Sampled curves are
+     * per-tracker and are not merged. Used to combine per-worker
+     * trackers.
      */
     void merge(const CoverageTracker &other);
 
@@ -58,7 +59,10 @@ class CoverageTracker
     uint64_t coveredEdges() const { return coveredCount_; }
 
     /** @return true when @p edge has been exercised. */
-    bool covered(graph::EdgeId edge) const { return covered_[edge]; }
+    bool covered(graph::EdgeId edge) const
+    {
+        return (words_[edge / 64] >> (edge % 64)) & 1;
+    }
 
     /** @return covered fraction in [0,1]. */
     double fraction() const;
@@ -74,7 +78,8 @@ class CoverageTracker
 
   private:
     const graph::StateGraph &graph_;
-    std::vector<bool> covered_;
+    /** Bit e % 64 of word e / 64 is set once edge e is covered. */
+    std::vector<uint64_t> words_;
     uint64_t coveredCount_ = 0;
     uint64_t instructions_ = 0;
     uint64_t cycles_ = 0;

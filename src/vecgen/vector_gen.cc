@@ -60,17 +60,15 @@ requireStates(const graph::StateGraph &graph)
 
 } // namespace
 
-VectorGenerator::VectorGenerator(const rtl::PpFsmModel &model,
-                                 uint64_t seed)
+EdgeFactBuilder::EdgeFactBuilder(const rtl::PpFsmModel &model)
     : model_(model), codec_(model.makeChoiceCodec()),
       conflictCheckDropped_(model.config().mutations.test(
-          static_cast<size_t>(rtl::MutationId::ConflictDropsLoadCheck))),
-      seed_(seed)
+          static_cast<size_t>(rtl::MutationId::ConflictDropsLoadCheck)))
 {
 }
 
 uint32_t
-VectorGenerator::tupleFor(uint64_t choice_code)
+EdgeFactBuilder::tupleFor(uint64_t choice_code)
 {
     auto [it, added] = tupleOfCode_.try_emplace(
         choice_code, static_cast<uint32_t>(tuples_.size()));
@@ -84,12 +82,11 @@ VectorGenerator::tupleFor(uint64_t choice_code)
     return it->second;
 }
 
-VectorGenerator::EdgeFacts
-VectorGenerator::factsFor(const graph::StateGraph &graph,
-                          graph::EdgeId edge_id)
+EdgeFacts
+EdgeFactBuilder::factsFor(const graph::StateGraph &graph,
+                          graph::EdgeId edge_id, uint32_t tuple) const
 {
     const graph::Edge &edge = graph.edge(edge_id);
-    const uint32_t tuple = tupleFor(edge.choiceCode);
     const fsm::Choice &choice = tuples_[tuple].choice;
     const rtl::PpControlState st =
         model_.unpack(graph.packedState(edge.src));
@@ -119,11 +116,46 @@ VectorGenerator::factsFor(const graph::StateGraph &graph,
     return facts;
 }
 
+EdgeFactTable::EdgeFactTable(const rtl::PpFsmModel &model,
+                             const graph::StateGraph &graph)
+    : graph_(graph), builder_(model), facts_(graph.numEdges())
+{
+    requireStates(graph);
+    // Serial, in edge-id order: the numbering (and so the table) does
+    // not depend on how fill() is split.
+    for (size_t e = 0; e < facts_.size(); ++e)
+        facts_[e].tuple = builder_.tupleFor(graph.edge(e).choiceCode);
+}
+
+void
+EdgeFactTable::fill(unsigned part, unsigned parts)
+{
+    const size_t begin = facts_.size() * part / parts;
+    const size_t end = facts_.size() * (part + 1) / parts;
+    telemetry::ScopedSpan span("vecgen.edge_facts", "edges",
+                               end - begin);
+    for (size_t e = begin; e < end; ++e)
+        facts_[e] = builder_.factsFor(graph_, e, facts_[e].tuple);
+}
+
+VectorGenerator::VectorGenerator(const rtl::PpFsmModel &model,
+                                 uint64_t seed)
+    : model_(model), inline_(model), seed_(seed)
+{
+}
+
 TestTrace
 VectorGenerator::generate(const graph::StateGraph &graph,
                           const graph::Trace &trace, size_t trace_index)
 {
     return walk(graph, trace, trace_index, nullptr);
+}
+
+TestTrace
+VectorGenerator::generate(const EdgeFactTable &table,
+                          const graph::Trace &trace, size_t trace_index)
+{
+    return walk(table.graph(), trace, trace_index, &table);
 }
 
 std::vector<TestTrace>
@@ -133,15 +165,9 @@ VectorGenerator::generateAll(const graph::StateGraph &graph,
     std::vector<TestTrace> out;
     if (traces.empty())
         return out;
-    requireStates(graph);
 
-    std::vector<EdgeFacts> table(graph.numEdges());
-    {
-        telemetry::ScopedSpan span("vecgen.edge_facts", "edges",
-                                   table.size());
-        for (size_t e = 0; e < table.size(); ++e)
-            table[e] = factsFor(graph, e);
-    }
+    EdgeFactTable table(model_, graph);
+    table.fill();
 
     uint64_t cycles = 0;
     for (const graph::Trace &trace : traces)
@@ -150,14 +176,14 @@ VectorGenerator::generateAll(const graph::StateGraph &graph,
                                "cycles", cycles);
     out.reserve(traces.size());
     for (size_t i = 0; i < traces.size(); ++i)
-        out.push_back(walk(graph, traces[i], i, table.data()));
+        out.push_back(walk(graph, traces[i], i, &table));
     return out;
 }
 
 TestTrace
 VectorGenerator::walk(const graph::StateGraph &graph,
                       const graph::Trace &trace, size_t trace_index,
-                      const EdgeFacts *table)
+                      const EdgeFactTable *table)
 {
     requireStates(graph);
 
@@ -182,10 +208,15 @@ VectorGenerator::walk(const graph::StateGraph &graph,
 
     for (graph::EdgeId e : trace.edges) {
         prefix_hash = prefixMix(prefix_hash, e);
-        const EdgeFacts facts = table ? table[e] : factsFor(graph, e);
+        const EdgeFacts facts =
+            table ? (*table)[e]
+                  : inline_.factsFor(graph, e,
+                                     inline_.tupleFor(
+                                         graph.edge(e).choiceCode));
 
         // Record the forced-signal vector for this cycle verbatim.
-        out.cycles.push_back(tuples_[facts.tuple].signals);
+        out.cycles.push_back(table ? table->signals(facts.tuple)
+                                   : inline_.signals(facts.tuple));
         out.instructions += facts.fetchCount;
 
         // Conflict-check constraint on the load in MEM.
@@ -400,7 +431,7 @@ VectorGenerator::walk(const graph::StateGraph &graph,
 std::string
 VectorGenerator::renderForceScript(const TestTrace &trace) const
 {
-    const auto &vars = codec_.vars();
+    const auto &vars = model_.choiceVars();
     std::string script;
     script += formatString(
         "// trace %zu: %zu cycles, %llu instructions, %zu fetch "

@@ -26,9 +26,12 @@
  *
  * The walk reads a few control facts per tour edge (EdgeFacts).
  * Tours traverse each edge many times, so generateAll computes the
- * facts once per graph edge into a table and walks every trace
- * against it; generate() computes them per traversal, which is
- * cheaper for the short single traces fuzzing and bug hunts convert.
+ * facts once per graph edge into an EdgeFactTable and walks every
+ * trace against it. The table is read-only once built, so a fuzz
+ * campaign builds one and every generator it creates (one per
+ * candidate, each with its own seed) walks against it. The inline
+ * generate() computes the facts per traversal, which is cheaper for
+ * the few one-off traces bug hunts convert.
  */
 
 #ifndef ARCHVAL_VECGEN_VECTOR_GEN_HH
@@ -85,6 +88,113 @@ struct VecGenStats
 };
 
 /**
+ * What the tour walk reads of one graph edge: the forced signals and
+ * the control's outputs for (source state, choice). Kept to 8 bytes
+ * because an EdgeFactTable holds one per graph edge.
+ */
+struct EdgeFacts
+{
+    uint32_t tuple;            ///< index of the forced-signal tuple
+    pp::InstrClass fetchClass; ///< class of the fetched packet
+    uint8_t fetchCount;        ///< instructions fetched (0-2)
+    bool fetch : 1;            ///< a packet enters RD
+    bool advance : 1;          ///< pipeline registers shift
+    bool branchTaken : 1;      ///< EX branch squashes RD
+    bool storeCommit : 1;      ///< pending store data written
+    bool storeIssued : 1;      ///< a store's probe or critical word
+    bool exBranch : 1;         ///< EX holds a branch
+    bool conflictChecked : 1;  ///< SameLine examined for MEM's load
+    bool sameLine : 1;         ///< the SameLine choice
+};
+static_assert(sizeof(EdgeFacts) == 8);
+
+/**
+ * Computes the EdgeFacts of graph edges of one model. Numbers the
+ * distinct forced-signal tuples (choice codes) in first-sight order;
+ * an edge's facts refer to its tuple by that number.
+ */
+class EdgeFactBuilder
+{
+  public:
+    explicit EdgeFactBuilder(const rtl::PpFsmModel &model);
+
+    /** @return the number of @p choice_code's tuple, adding it on
+     *  first sight. Not safe to call concurrently. */
+    uint32_t tupleFor(uint64_t choice_code);
+
+    /** @return the facts of @p edge, whose choice code tupleFor()
+     *  numbered @p tuple. Only reads, so concurrent calls are safe
+     *  while no tupleFor() runs. */
+    EdgeFacts factsFor(const graph::StateGraph &graph,
+                       graph::EdgeId edge, uint32_t tuple) const;
+
+    /** @return the forced-signal vector of tuple @p tuple. */
+    const rtl::ForcedSignals &signals(uint32_t tuple) const
+    {
+        return tuples_[tuple].signals;
+    }
+
+  private:
+    /** A distinct choice tuple: the forced-signal vector recorded per
+     *  cycle, and the decoded choice the control reads. */
+    struct ForcedTuple
+    {
+        rtl::ForcedSignals signals;
+        fsm::Choice choice;
+    };
+
+    const rtl::PpFsmModel &model_;
+    fsm::ChoiceCodec codec_;
+    /** ConflictDropsLoadCheck is set: the control never examines
+     *  SameLine, so no load gets an address constraint. */
+    bool conflictCheckDropped_;
+    std::vector<ForcedTuple> tuples_;
+    std::unordered_map<uint64_t, uint32_t> tupleOfCode_;
+};
+
+/**
+ * The facts of every edge of one graph. Read-only once filled, so one
+ * table serves any number of generators on any number of threads.
+ */
+class EdgeFactTable
+{
+  public:
+    /**
+     * Number the tuple of every edge of @p graph in edge-id order;
+     * fill() then computes the facts. Both must outlive the table.
+     */
+    EdgeFactTable(const rtl::PpFsmModel &model,
+                  const graph::StateGraph &graph);
+
+    /**
+     * Compute the facts of part @p part of @p parts disjoint edge
+     * ranges (span `vecgen.edge_facts`). Distinct parts may be filled
+     * concurrently; the table is the same for any split.
+     */
+    void fill(unsigned part = 0, unsigned parts = 1);
+
+    /** @return the facts of edge @p edge (after fill()). */
+    const EdgeFacts &operator[](graph::EdgeId edge) const
+    {
+        return facts_[edge];
+    }
+
+    /** @return the forced-signal vector of tuple @p tuple. */
+    const rtl::ForcedSignals &signals(uint32_t tuple) const
+    {
+        return builder_.signals(tuple);
+    }
+
+    /** @return the graph the table describes. */
+    const graph::StateGraph &graph() const { return graph_; }
+
+  private:
+    const graph::StateGraph &graph_;
+    EdgeFactBuilder builder_;
+    std::vector<EdgeFacts> facts_;
+};
+
+/**
  * Generates test traces from tour components over a PP state graph.
  */
 class VectorGenerator
@@ -102,10 +212,16 @@ class VectorGenerator
     TestTrace generate(const graph::StateGraph &graph,
                        const graph::Trace &trace, size_t trace_index = 0);
 
-    /** Convert every tour component. Computes the control facts of
-     *  every graph edge once, walks all traces against that table,
-     *  and frees it on return; the output equals calling generate()
-     *  on each trace in order. */
+    /** Convert one tour component of the graph @p table describes,
+     *  reading each edge's facts from @p table; the output equals
+     *  generate() on that graph. */
+    TestTrace generate(const EdgeFactTable &table,
+                       const graph::Trace &trace, size_t trace_index = 0);
+
+    /** Convert every tour component. Builds an EdgeFactTable of
+     *  @p graph, walks all traces against it, and frees it on
+     *  return; the output equals calling generate() on each trace in
+     *  order. */
     std::vector<TestTrace> generateAll(
         const graph::StateGraph &graph,
         const std::vector<graph::Trace> &traces);
@@ -120,56 +236,15 @@ class VectorGenerator
     std::string renderForceScript(const TestTrace &trace) const;
 
   private:
-    /**
-     * What the tour walk reads of one graph edge: the forced signals
-     * and the control's outputs for (source state, choice). Kept to
-     * 8 bytes because generateAll holds one per graph edge.
-     */
-    struct EdgeFacts
-    {
-        uint32_t tuple;            ///< index into tuples_
-        pp::InstrClass fetchClass; ///< class of the fetched packet
-        uint8_t fetchCount;        ///< instructions fetched (0-2)
-        bool fetch : 1;            ///< a packet enters RD
-        bool advance : 1;          ///< pipeline registers shift
-        bool branchTaken : 1;      ///< EX branch squashes RD
-        bool storeCommit : 1;      ///< pending store data written
-        bool storeIssued : 1;      ///< a store's probe or critical word
-        bool exBranch : 1;         ///< EX holds a branch
-        bool conflictChecked : 1;  ///< SameLine examined for MEM's load
-        bool sameLine : 1;         ///< the SameLine choice
-    };
-    static_assert(sizeof(EdgeFacts) == 8);
-
-    /** A distinct choice tuple: the forced-signal vector recorded per
-     *  cycle, and the decoded choice the control reads. */
-    struct ForcedTuple
-    {
-        rtl::ForcedSignals signals;
-        fsm::Choice choice;
-    };
-
-    /** @return the control facts of graph edge @p edge. */
-    EdgeFacts factsFor(const graph::StateGraph &graph,
-                       graph::EdgeId edge);
-
-    /** @return the index in tuples_ of @p choice_code, adding it on
-     *  first sight. */
-    uint32_t tupleFor(uint64_t choice_code);
-
-    /** Convert one trace, reading edge facts from @p table (indexed
-     *  by edge id) or, when it is null, computing them per edge. */
+    /** Convert one trace, reading edge facts from @p table or, when
+     *  it is null, computing them per edge with inline_. */
     TestTrace walk(const graph::StateGraph &graph,
                    const graph::Trace &trace, size_t trace_index,
-                   const EdgeFacts *table);
+                   const EdgeFactTable *table);
 
     const rtl::PpFsmModel &model_;
-    fsm::ChoiceCodec codec_;
-    /** ConflictDropsLoadCheck is set: the control never examines
-     *  SameLine, so no load gets an address constraint. */
-    bool conflictCheckDropped_;
-    std::vector<ForcedTuple> tuples_;
-    std::unordered_map<uint64_t, uint32_t> tupleOfCode_;
+    /** Computes facts for generate() without a table. */
+    EdgeFactBuilder inline_;
     /**
      * Operand draws are seeded per packet from a hash of (seed_,
      * tour-edge prefix), not from one sequential stream: traces that

@@ -10,6 +10,7 @@
  */
 
 #include <cstdlib>
+#include <iterator>
 
 #include <gtest/gtest.h>
 
@@ -64,6 +65,8 @@ class FuzzFixture : public ::testing::Test
         model_ = new PpFsmModel(*config_);
         murphi::Enumerator enumerator(*model_);
         graph_ = new graph::StateGraph(enumerator.runOrThrow());
+        facts_ = new vecgen::EdgeFactTable(*model_, *graph_);
+        facts_->fill();
         graph::TourGenerator tour_gen(*graph_);
         tours_ = new std::vector<graph::Trace>(tour_gen.run());
     }
@@ -72,10 +75,12 @@ class FuzzFixture : public ::testing::Test
     TearDownTestSuite()
     {
         delete tours_;
+        delete facts_;
         delete graph_;
         delete model_;
         delete config_;
         tours_ = nullptr;
+        facts_ = nullptr;
         graph_ = nullptr;
         model_ = nullptr;
         config_ = nullptr;
@@ -84,12 +89,14 @@ class FuzzFixture : public ::testing::Test
     static PpConfig *config_;
     static PpFsmModel *model_;
     static graph::StateGraph *graph_;
+    static vecgen::EdgeFactTable *facts_;
     static std::vector<graph::Trace> *tours_;
 };
 
 PpConfig *FuzzFixture::config_ = nullptr;
 PpFsmModel *FuzzFixture::model_ = nullptr;
 graph::StateGraph *FuzzFixture::graph_ = nullptr;
+vecgen::EdgeFactTable *FuzzFixture::facts_ = nullptr;
 std::vector<graph::Trace> *FuzzFixture::tours_ = nullptr;
 
 TEST_F(FuzzFixture, CoverageTrackerMergeUnionsArcs)
@@ -138,6 +145,83 @@ TEST_F(FuzzFixture, CoverageTrackerResetClears)
     EXPECT_DOUBLE_EQ(tracker.fraction(), 0.0);
 }
 
+/** A chain of @p edges edges, the last word of its coverage bitmap
+ *  partly used; edge e carries e % 3 instructions. */
+graph::StateGraph
+chainGraph(size_t edges)
+{
+    graph::StateGraph graph;
+    graph.addStatesUnretained(edges + 1);
+    for (size_t e = 0; e < edges; ++e)
+        graph.addEdge(static_cast<graph::StateId>(e),
+                      static_cast<graph::StateId>(e + 1), 0,
+                      static_cast<uint32_t>(e % 3));
+    return graph;
+}
+
+/** Expect @p tracker to cover exactly the edges set in @p oracle. */
+void
+expectCoverage(const harness::CoverageTracker &tracker,
+               const std::vector<bool> &oracle)
+{
+    uint64_t count = 0;
+    for (size_t e = 0; e < oracle.size(); ++e) {
+        EXPECT_EQ(tracker.covered(static_cast<graph::EdgeId>(e)),
+                  oracle[e])
+            << "edge " << e;
+        count += oracle[e];
+    }
+    EXPECT_EQ(tracker.coveredEdges(), count);
+}
+
+TEST(CoverageTrackerWords, BoundaryEdgesAndPartialLastWord)
+{
+    constexpr size_t edges = 150; // two full words and 22 bits
+    const graph::StateGraph graph = chainGraph(edges);
+    harness::CoverageTracker a(graph), b(graph);
+    std::vector<bool> in_a(edges), in_b(edges);
+
+    graph::Trace trace_a, trace_b;
+    for (graph::EdgeId e : {0u, 63u, 64u, 65u, 63u, 149u}) {
+        trace_a.edges.push_back(e);
+        in_a[e] = true;
+    }
+    for (graph::EdgeId e : {62u, 63u, 127u, 128u, 148u, 149u}) {
+        trace_b.edges.push_back(e);
+        in_b[e] = true;
+    }
+    a.addTrace(trace_a);
+    b.addTrace(trace_b);
+    expectCoverage(a, in_a);
+    expectCoverage(b, in_b);
+    EXPECT_EQ(a.cycles(), trace_a.edges.size());
+    EXPECT_EQ(a.instructions(), 0u + 0 + 1 + 2 + 0 + 2);
+
+    std::vector<bool> both(edges);
+    for (size_t e = 0; e < edges; ++e)
+        both[e] = in_a[e] || in_b[e];
+    a.merge(b);
+    expectCoverage(a, both);
+    a.merge(b); // re-merge adds no arcs
+    expectCoverage(a, both);
+    EXPECT_EQ(a.cycles(), trace_a.edges.size() + 2 * trace_b.edges.size());
+
+    a.reset();
+    expectCoverage(a, std::vector<bool>(edges));
+    a.addEdge(149, 0);
+    std::vector<bool> last(edges);
+    last[149] = true;
+    expectCoverage(a, last);
+}
+
+TEST(CoverageTrackerWords, MergeOfDifferentGraphsIsFatal)
+{
+    const graph::StateGraph graph = chainGraph(130);
+    const graph::StateGraph other = chainGraph(129); // same word count
+    harness::CoverageTracker a(graph), b(other);
+    EXPECT_THROW(a.merge(b), FatalError);
+}
+
 TEST_F(FuzzFixture, CorpusPicksAreEnergyWeightedAndDeterministic)
 {
     Corpus corpus;
@@ -179,6 +263,44 @@ TEST_F(FuzzFixture, CorpusEvictsLowestEnergyPastBound)
     ASSERT_EQ(corpus.size(), 3u);
     for (const CorpusEntry &entry : corpus.entries())
         EXPECT_NE(entry.energy, 2u);
+}
+
+TEST_F(FuzzFixture, CorpusAdoptSharesCandidateAndEvictsLikeAdd)
+{
+    // A campaign broadcasts admitted entries with adopt(): the
+    // adopting corpus must keep exactly what add() of the same
+    // candidates keeps (energy ties evict the oldest, energy 0 is
+    // clamped to 1) while sharing the source's candidates.
+    const uint64_t energies[] = {10, 0, 30, 2, 2, 20, 1, 30};
+    Corpus source;
+    Corpus via_add(4);
+    Corpus via_adopt(4);
+    for (uint64_t i = 0; i < std::size(energies); ++i) {
+        Candidate candidate;
+        candidate.trace = tours_->front();
+        candidate.vecgenSeed = i;
+        via_add.add(candidate, energies[i]);
+        source.add(candidate, energies[i]);
+        via_adopt.adopt(source.entry(i));
+    }
+    ASSERT_EQ(via_add.size(), 4u);
+    ASSERT_EQ(via_adopt.size(), 4u);
+    for (size_t i = 0; i < 4; ++i) {
+        const CorpusEntry &added = via_add.entry(i);
+        const CorpusEntry &adopted = via_adopt.entry(i);
+        EXPECT_EQ(adopted.energy, added.energy) << i;
+        EXPECT_EQ(adopted.candidate->vecgenSeed,
+                  added.candidate->vecgenSeed)
+            << i;
+        EXPECT_EQ(adopted.candidate,
+                  source.entry(adopted.candidate->vecgenSeed).candidate)
+            << i;
+    }
+    // Survivors, oldest first: 10, 30, 20, 30.
+    EXPECT_EQ(via_add.entry(0).candidate->vecgenSeed, 0u);
+    EXPECT_EQ(via_add.entry(1).candidate->vecgenSeed, 2u);
+    EXPECT_EQ(via_add.entry(2).candidate->vecgenSeed, 5u);
+    EXPECT_EQ(via_add.entry(3).candidate->vecgenSeed, 7u);
 }
 
 TEST_F(FuzzFixture, EveryMutationOperatorPreservesWalkValidity)
@@ -233,8 +355,8 @@ TEST_F(FuzzFixture, ClassResampleKeepsWalkChangesSeed)
 
 TEST_F(FuzzFixture, EngineIsDeterministicForFixedSeed)
 {
-    FuzzEngine a(*config_, *model_, *graph_, 42);
-    FuzzEngine b(*config_, *model_, *graph_, 42);
+    FuzzEngine a(*config_, *model_, *facts_, 42);
+    FuzzEngine b(*config_, *model_, *facts_, 42);
     a.seedCorpus(*tours_);
     b.seedCorpus(*tours_);
     FuzzDetection da = a.run(BugSet{}, engineBudget() / 4);
@@ -250,7 +372,7 @@ TEST_F(FuzzFixture, EngineIsDeterministicForFixedSeed)
 
 TEST_F(FuzzFixture, EngineNeverDivergesBugFree)
 {
-    FuzzEngine engine(*config_, *model_, *graph_, 17);
+    FuzzEngine engine(*config_, *model_, *facts_, 17);
     engine.seedCorpus(*tours_);
     FuzzDetection detection =
         engine.run(BugSet{}, engineBudget() / 2);
@@ -264,7 +386,7 @@ TEST_F(FuzzFixture, EngineCoverageFeedbackGrowsCorpus)
     options.seedTours = 1;
     options.seedWalks = 1;
     options.maxTraceInstructions = 300;
-    FuzzEngine engine(*config_, *model_, *graph_, 19, options);
+    FuzzEngine engine(*config_, *model_, *facts_, 19, options);
     engine.seedCorpus(*tours_);
     size_t seeded = engine.corpus().size();
     engine.run(BugSet{}, engineBudget() / 2);
@@ -280,7 +402,7 @@ TEST_F(FuzzFixture, EngineDetectsInjectedBug)
 {
     BugSet bugs;
     bugs.set(static_cast<size_t>(BugId::Bug3ConflictAddr));
-    FuzzEngine engine(*config_, *model_, *graph_, 2024);
+    FuzzEngine engine(*config_, *model_, *facts_, 2024);
     engine.seedCorpus(*tours_);
     FuzzDetection detection = engine.run(bugs, engineBudget());
     EXPECT_TRUE(detection.detected) << "fuzz engine missed bug3";
@@ -294,10 +416,13 @@ TEST_F(FuzzFixture, CampaignIsBitDeterministicForFixedSeedAndWorkers)
     bugs.set(static_cast<size_t>(BugId::Bug3ConflictAddr));
     CampaignOptions options = campaignOptions();
 
+    // Run b walks the fixture's table (filled in one part), as a
+    // fuzz arm's campaigns share one; run a builds its own on four
+    // workers.
     CampaignRunner runner_a(*config_, *model_, *graph_, options);
     CampaignRunner runner_b(*config_, *model_, *graph_, options);
     CampaignResult a = runner_a.run(bugs, *tours_);
-    CampaignResult b = runner_b.run(bugs, *tours_);
+    CampaignResult b = runner_b.run(bugs, *tours_, *facts_);
 
     EXPECT_EQ(a.detected, b.detected);
     EXPECT_EQ(a.instructions, b.instructions);
@@ -309,6 +434,14 @@ TEST_F(FuzzFixture, CampaignIsBitDeterministicForFixedSeedAndWorkers)
     EXPECT_EQ(a.iterations, b.iterations);
     EXPECT_EQ(a.coveredEdges, b.coveredEdges);
     EXPECT_EQ(a.corpusSize, b.corpusSize);
+}
+
+TEST_F(FuzzFixture, CampaignRejectsTableOfAnotherGraph)
+{
+    murphi::Enumerator enumerator(*model_);
+    const graph::StateGraph other = enumerator.runOrThrow();
+    CampaignRunner runner(*config_, *model_, other, campaignOptions());
+    EXPECT_THROW(runner.run(BugSet{}, *tours_, *facts_), FatalError);
 }
 
 TEST_F(FuzzFixture, CampaignDetectsInjectedBug)
@@ -337,6 +470,92 @@ TEST_F(FuzzFixture, CampaignMergesWorkerCoverage)
     // so merged coverage cannot trail a single worker's.
     EXPECT_GE(merged.coveredEdges, single.coveredEdges);
     EXPECT_GT(merged.totalInstructions, single.totalInstructions);
+}
+
+TEST_F(FuzzFixture, GoldenCleanCampaign)
+{
+    // Fixed budgets (independent of ARCHVAL_FUZZ_SMOKE), clean RTL.
+    // The determinism test above compares two runs of the same code;
+    // these pins catch a change that moves every run at once.
+    struct Pin
+    {
+        unsigned workers;
+        uint64_t iterations;
+        uint64_t totalInstructions;
+        uint64_t totalCycles;
+        uint64_t coveredEdges;
+        size_t corpusSize;
+    };
+    const Pin golden[] = {
+        {1, 36, 17661, 53212, 5243, 34},
+        {4, 113, 70875, 233182, 7919, 109},
+    };
+    for (const Pin &pin : golden) {
+        CampaignOptions options;
+        options.workers = pin.workers;
+        options.roundInstructions = 4'000;
+        options.maxRounds = 4;
+        options.seed = 7;
+        CampaignRunner runner(*config_, *model_, *graph_, options);
+        CampaignResult result = runner.run(BugSet{}, *tours_);
+        SCOPED_TRACE(testing::Message() << "workers " << pin.workers);
+        EXPECT_FALSE(result.detected);
+        EXPECT_EQ(result.detail, "");
+        EXPECT_EQ(result.iterations, pin.iterations);
+        EXPECT_EQ(result.totalInstructions, pin.totalInstructions);
+        EXPECT_EQ(result.totalCycles, pin.totalCycles);
+        EXPECT_EQ(result.coveredEdges, pin.coveredEdges);
+        EXPECT_EQ(result.corpusSize, pin.corpusSize);
+    }
+}
+
+TEST_F(FuzzFixture, GoldenDetectingCampaign)
+{
+    // Bug3 is caught by a seed in round 0, so this pins the seed
+    // conversion and the detection report; the clean pins above
+    // cover the mutation rounds and the barrier merges.
+    struct Pin
+    {
+        unsigned workers;
+        uint64_t instructions;
+        uint64_t cycles;
+        uint64_t iterations;
+        uint64_t totalInstructions;
+        uint64_t totalCycles;
+        uint64_t coveredEdges;
+        const char *detail;
+    };
+    const Pin golden[] = {
+        {1, 1601, 5534, 2, 1601, 5534, 2376,
+         "round 0 worker 0: seed candidate 2 (2495 edges): "
+         "dmem[104]: 0xc354f800 vs 0x00000000"},
+        {4, 1600, 5383, 15, 9494, 31473, 5355,
+         "round 0 worker 0: seed candidate 2 (2345 edges): "
+         "r9: 0xbb8ee2a9 vs 0xfec5c5a6"},
+    };
+    BugSet bugs;
+    bugs.set(static_cast<size_t>(BugId::Bug3ConflictAddr));
+    for (const Pin &pin : golden) {
+        CampaignOptions options;
+        options.workers = pin.workers;
+        options.roundInstructions = 4'000;
+        options.maxRounds = 4;
+        options.seed = 7;
+        CampaignRunner runner(*config_, *model_, *graph_, options);
+        CampaignResult result = runner.run(bugs, *tours_);
+        SCOPED_TRACE(testing::Message() << "workers " << pin.workers);
+        EXPECT_TRUE(result.detected);
+        EXPECT_EQ(result.detail, pin.detail);
+        EXPECT_EQ(result.detectionRound, 0u);
+        EXPECT_EQ(result.detectionWorker, 0u);
+        EXPECT_EQ(result.instructions, pin.instructions);
+        EXPECT_EQ(result.cycles, pin.cycles);
+        EXPECT_EQ(result.iterations, pin.iterations);
+        EXPECT_EQ(result.totalInstructions, pin.totalInstructions);
+        EXPECT_EQ(result.totalCycles, pin.totalCycles);
+        EXPECT_EQ(result.coveredEdges, pin.coveredEdges);
+        EXPECT_EQ(result.corpusSize, 5u);
+    }
 }
 
 TEST_F(FuzzFixture, FuzzArmPlugsIntoBugHunt)

@@ -3,13 +3,15 @@
  * Tests for the vector generator: stream/cycle accounting, class
  * agreement between tour edges and generated instructions, conflict
  * address constraints, squash filtering, force-script rendering,
- * and byte identity between the whole-set and per-trace paths.
+ * and byte identity between the whole-set, shared-table and
+ * per-trace paths.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <thread>
 
 #include "murphi/enumerator.hh"
 #include "rtl/pp_fsm_model.hh"
@@ -243,6 +245,29 @@ vectorSetHash(const std::vector<TestTrace> &traces)
     return h;
 }
 
+/** Expect every field of @p a and @p b to match. */
+void
+expectSameTrace(const TestTrace &a, const TestTrace &b, size_t index)
+{
+    EXPECT_EQ(a.cycles, b.cycles) << "trace " << index;
+    EXPECT_EQ(a.fetchStream, b.fetchStream) << "trace " << index;
+    EXPECT_EQ(a.retiredStream, b.retiredStream) << "trace " << index;
+    EXPECT_EQ(a.inbox, b.inbox) << "trace " << index;
+    EXPECT_EQ(a.instructions, b.instructions) << "trace " << index;
+    EXPECT_EQ(a.traceIndex, b.traceIndex) << "trace " << index;
+}
+
+/** Expect every counter of @p a and @p b to match. */
+void
+expectSameStats(const VecGenStats &a, const VecGenStats &b)
+{
+    EXPECT_EQ(a.traces, b.traces);
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.instructions, b.instructions);
+    EXPECT_EQ(a.squashedPackets, b.squashedPackets);
+    EXPECT_EQ(a.constrainedLoads, b.constrainedLoads);
+}
+
 /**
  * generateAll (which walks a per-edge fact table) must give the same
  * traces and statistics as generate() called trace by trace (which
@@ -255,24 +280,42 @@ expectPathsAgree(const Pipeline &p, uint64_t seed)
     VectorGenerator whole(*p.model, seed), per_trace(*p.model, seed);
     std::vector<TestTrace> all = whole.generateAll(*p.graph, p.tours);
     EXPECT_EQ(all.size(), p.tours.size());
-    for (size_t i = 0; i < std::min(all.size(), p.tours.size()); ++i) {
-        TestTrace one = per_trace.generate(*p.graph, p.tours[i], i);
-        EXPECT_EQ(all[i].cycles, one.cycles) << "trace " << i;
-        EXPECT_EQ(all[i].fetchStream, one.fetchStream) << "trace " << i;
-        EXPECT_EQ(all[i].retiredStream, one.retiredStream)
-            << "trace " << i;
-        EXPECT_EQ(all[i].inbox, one.inbox) << "trace " << i;
-        EXPECT_EQ(all[i].instructions, one.instructions)
-            << "trace " << i;
-        EXPECT_EQ(all[i].traceIndex, one.traceIndex) << "trace " << i;
+    for (size_t i = 0; i < std::min(all.size(), p.tours.size()); ++i)
+        expectSameTrace(all[i], per_trace.generate(*p.graph, p.tours[i], i),
+                        i);
+    expectSameStats(whole.stats(), per_trace.stats());
+    return whole.stats();
+}
+
+/**
+ * One EdgeFactTable, filled in four parts on four threads, serves
+ * generators that each have their own seed (as a fuzz campaign's
+ * candidates do). Each must match a fresh inline generator with the
+ * same seed, trace for trace and counter for counter.
+ * @return the summed statistics of the shared-table generators.
+ */
+VecGenStats
+expectSharedTableAgrees(const Pipeline &p, size_t stride = 1)
+{
+    constexpr unsigned parts = 4;
+    EdgeFactTable table(*p.model, *p.graph);
+    std::vector<std::thread> threads;
+    for (unsigned part = 0; part < parts; ++part)
+        threads.emplace_back([&table, part] { table.fill(part, parts); });
+    for (std::thread &thread : threads)
+        thread.join();
+
+    VecGenStats total;
+    for (size_t i = 0; i < p.tours.size(); i += stride) {
+        const uint64_t seed = 1000 + 7 * i;
+        VectorGenerator shared(*p.model, seed), fresh(*p.model, seed);
+        expectSameTrace(shared.generate(table, p.tours[i], i),
+                        fresh.generate(*p.graph, p.tours[i], i), i);
+        expectSameStats(shared.stats(), fresh.stats());
+        total.traces += shared.stats().traces;
+        total.constrainedLoads += shared.stats().constrainedLoads;
     }
-    const VecGenStats &a = whole.stats(), &b = per_trace.stats();
-    EXPECT_EQ(a.traces, b.traces);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.squashedPackets, b.squashedPackets);
-    EXPECT_EQ(a.constrainedLoads, b.constrainedLoads);
-    return a;
+    return total;
 }
 
 TEST(VecGenPaths, WholeSetMatchesPerTraceSmall)
@@ -290,6 +333,23 @@ TEST(VecGenPaths, WholeSetMatchesPerTraceConflictMutation)
         static_cast<size_t>(rtl::MutationId::ConflictDropsLoadCheck));
     auto p = buildPipeline(config, 500);
     EXPECT_EQ(expectPathsAgree(*p, 5).constrainedLoads, 0u);
+}
+
+TEST(VecGenPaths, SharedTableMatchesInlineSmall)
+{
+    auto p = buildPipeline(PpConfig::smallPreset(), 500);
+    VecGenStats stats = expectSharedTableAgrees(*p);
+    EXPECT_EQ(stats.traces, p->tours.size());
+    EXPECT_GT(stats.constrainedLoads, 0u);
+}
+
+TEST(VecGenPaths, SharedTableMatchesInlineConflictMutation)
+{
+    PpConfig config = PpConfig::smallPreset();
+    config.mutations.set(
+        static_cast<size_t>(rtl::MutationId::ConflictDropsLoadCheck));
+    auto p = buildPipeline(config, 500);
+    EXPECT_EQ(expectSharedTableAgrees(*p).constrainedLoads, 0u);
 }
 
 /** The mid PP with 10k-limited tours, built once for the suite. */
@@ -317,6 +377,13 @@ Pipeline *VecGenMidFixture::mid_ = nullptr;
 TEST_F(VecGenMidFixture, WholeSetMatchesPerTrace)
 {
     expectPathsAgree(*mid_, 1);
+}
+
+TEST_F(VecGenMidFixture, SharedTableMatchesInline)
+{
+    // Every fifth tour: the whole-set comparison above already walks
+    // all of them inline.
+    EXPECT_GT(expectSharedTableAgrees(*mid_, 5).traces, 50u);
 }
 
 TEST_F(VecGenMidFixture, SignalsWithinCardinality)

@@ -7,7 +7,7 @@
 namespace archval::fuzz
 {
 
-size_t
+std::optional<size_t>
 Corpus::add(Candidate candidate, uint64_t energy, uint64_t new_arcs,
             bool new_state)
 {
@@ -20,13 +20,15 @@ Corpus::add(Candidate candidate, uint64_t energy, uint64_t new_arcs,
     return adopt(entry);
 }
 
-size_t
+std::optional<size_t>
 Corpus::adopt(const CorpusEntry &entry)
 {
     entries_.push_back(entry);
     entries_.back().energy = std::max<uint64_t>(entry.energy, 1);
-    if (maxEntries_ && entries_.size() > maxEntries_)
-        evictOne();
+    const size_t index = entries_.size() - 1;
+    if (maxEntries_ && entries_.size() > maxEntries_ &&
+        evictOne() == index)
+        return std::nullopt;
     return entries_.size() - 1;
 }
 
@@ -50,7 +52,7 @@ Corpus::pick(Rng &rng)
     return entries_.size() - 1; // unreachable
 }
 
-void
+size_t
 Corpus::evictOne()
 {
     size_t victim = 0;
@@ -59,6 +61,7 @@ Corpus::evictOne()
             victim = i;
     }
     entries_.erase(entries_.begin() + victim);
+    return victim;
 }
 
 } // namespace archval::fuzz

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "graph/tour.hh"
@@ -59,17 +60,20 @@ class Corpus
 
     /**
      * Admit @p candidate with @p energy (clamped to at least 1).
-     * @return index of the new entry.
+     * @return index of the new entry, or nullopt when the corpus was
+     * full and the new entry had the lowest energy, so it was the
+     * one evicted.
      */
-    size_t add(Candidate candidate, uint64_t energy,
-               uint64_t new_arcs = 0, bool new_state = false);
+    std::optional<size_t> add(Candidate candidate, uint64_t energy,
+                              uint64_t new_arcs = 0,
+                              bool new_state = false);
 
     /**
      * Admit a copy of @p entry (another corpus's entry; the candidate
      * is shared), clamping its energy to at least 1.
-     * @return index of the new entry.
+     * @return as add().
      */
-    size_t adopt(const CorpusEntry &entry);
+    std::optional<size_t> adopt(const CorpusEntry &entry);
 
     /**
      * Draw an entry with probability proportional to energy and
@@ -94,8 +98,9 @@ class Corpus
     const std::vector<CorpusEntry> &entries() const { return entries_; }
 
   private:
-    /** Evict the lowest-energy entry (ties: oldest). */
-    void evictOne();
+    /** Evict the lowest-energy entry (ties: oldest).
+     *  @return the evicted entry's index. */
+    size_t evictOne();
 
     std::vector<CorpusEntry> entries_;
     size_t maxEntries_;

@@ -142,11 +142,14 @@ FuzzEngine::evaluate(const Candidate &candidate,
 
     if ((new_arcs > 0 || new_state) && !from_seed) {
         uint64_t energy = 1 + 8 * new_arcs + (new_state ? 4 : 0);
-        size_t index =
-            corpus_.add(candidate, energy, new_arcs, new_state);
-        roundAdds_.push_back(corpus_.entry(index));
-        ++stats_.admitted;
-        telemetry::counter("fuzz.admitted").add(1);
+        // A full corpus may evict the newcomer itself; only a kept
+        // entry is broadcast and counted.
+        if (std::optional<size_t> index =
+                corpus_.add(candidate, energy, new_arcs, new_state)) {
+            roundAdds_.push_back(corpus_.entry(*index));
+            ++stats_.admitted;
+            telemetry::counter("fuzz.admitted").add(1);
+        }
     }
     if (new_arcs > 0) {
         ++stats_.arcNovel;

@@ -9,8 +9,6 @@
 #include <numeric>
 #include <thread>
 
-#include "support/flight_recorder.hh"
-#include "support/spill_store.hh"
 #include "support/status.hh"
 #include "support/strings.hh"
 #include "support/telemetry.hh"
@@ -53,32 +51,25 @@ commonPrefix(const std::vector<rtl::ForcedSignals> &a,
 }
 
 /**
- * Tiered runtime checkpoint cache.
+ * Runtime checkpoint cache: snapshots held in memory under one byte
+ * budget.
  *
- * Tier 1 is memory under the byte budget; tier 2 is the CRC-checked
- * disk spill file. Entries come in two kinds: *plan slots* (the
- * prefix-tree checkpoints planned before execution, with exact
- * consumer counts) and *stride entries* (periodic donor checkpoints
- * added at runtime, shared read-only by every non-donor bug set and
- * dropped when their trace's last consumer finishes). Eviction is
- * LRU across both kinds; a victim is serialized to the spill store
- * when it fits the spill cap, dropped otherwise. Faulting a spilled
- * entry back in re-reads and CRC-checks the record; any failure
- * marks the entry dropped and the caller degrades to an earlier
+ * Entries come in two kinds: *plan slots* (the prefix-tree
+ * checkpoints planned before execution, with exact consumer counts)
+ * and *stride entries* (periodic donor checkpoints added at runtime,
+ * shared read-only by every non-donor bug set and dropped when their
+ * trace's last consumer finishes). Eviction is LRU across both kinds;
+ * an evicted entry is dropped, and the caller degrades to an earlier
  * checkpoint or from-reset replay.
  *
- * One mutex guards everything — publishes, consumes, and spill I/O
- * are rare next to the simulation they save.
+ * One mutex guards everything — publishes and consumes are rare next
+ * to the simulation they save.
  */
 class CheckpointCache
 {
   public:
-    CheckpointCache(const rtl::PpConfig &config,
-                    const std::vector<SlotPlan> &plans, size_t budget,
-                    SpillStore *spill,
-                    ReplayOptions::SpillFault fault)
-        : config_(config), budget_(budget), spill_(spill),
-          fault_(fault)
+    CheckpointCache(const std::vector<SlotPlan> &plans, size_t budget)
+        : budget_(budget)
     {
         slots_.resize(plans.size());
         for (size_t i = 0; i < plans.size(); ++i)
@@ -110,16 +101,16 @@ class CheckpointCache
 
     /**
      * Block until plan slot @p slot resolves; @return its snapshot,
-     * or an invalid one when it was dropped, evicted past the spill
-     * cap, or its spill record came back damaged. Decrements the
-     * planned-consumer count (the last consumer frees the entry).
+     * or an invalid one when it was dropped or evicted. Decrements
+     * the planned-consumer count (the last consumer frees the
+     * entry).
      */
     rtl::PpCore::Snapshot consume(size_t slot)
     {
         std::unique_lock<std::mutex> lock(mutex_);
         Slot &s = slots_[slot];
         cv_.wait(lock, [&] { return s.state != State::Pending; });
-        rtl::PpCore::Snapshot out = materialize(s);
+        rtl::PpCore::Snapshot out = snapshotOf(s);
         if (--s.remaining == 0)
             freeSlot(s);
         return out;
@@ -155,7 +146,7 @@ class CheckpointCache
     rtl::PpCore::Snapshot fetchStride(size_t id)
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        return materialize(slots_[id]);
+        return snapshotOf(slots_[id]);
     }
 
     /** Free a trace's stride chain (its last consumer finished). */
@@ -169,7 +160,6 @@ class CheckpointCache
     uint64_t published() const { return published_; }
     uint64_t strideCheckpoints() const { return strideCheckpoints_; }
     uint64_t evictions() const { return evictions_; }
-    uint64_t spillFallbacks() const { return spillFallbacks_; }
     size_t peakBytes() const { return peakBytes_; }
 
   private:
@@ -177,7 +167,6 @@ class CheckpointCache
     {
         Pending, ///< producer has not resolved the entry yet
         Ready,   ///< snapshot held in memory
-        Spilled, ///< snapshot parked in the spill store
         Dropped, ///< gone; consumers degrade
     };
 
@@ -185,13 +174,12 @@ class CheckpointCache
     {
         State state = State::Pending;
         rtl::PpCore::Snapshot snap;
-        int64_t record = SpillStore::invalidId;
         unsigned remaining = 0;
         uint64_t lastUse = 0;
         bool stride = false;
     };
 
-    /** Place @p snap into @p s, evicting/spilling as needed. */
+    /** Place @p snap into @p s, evicting as needed. */
     void insert(Slot &s, rtl::PpCore::Snapshot snap)
     {
         size_t bytes = snap.bytes();
@@ -203,10 +191,8 @@ class CheckpointCache
             peakBytes_ = std::max(peakBytes_, bytes_);
         } else {
             // Too big for the whole memory budget (mid-trace
-            // snapshots outgrow the reset-state estimate): straight
-            // to the spill tier, or gone.
-            s.state = spillSnapshot(s, snap) ? State::Spilled
-                                             : State::Dropped;
+            // snapshots outgrow the reset-state estimate).
+            s.state = State::Dropped;
         }
     }
 
@@ -226,100 +212,43 @@ class CheckpointCache
             }
             if (victim == slots_.size())
                 return bytes_ + bytes <= budget_;
-            Slot &loser = slots_[victim];
-            // Best effort: when the spill store is full, disabled,
-            // or failing, the eviction becomes a drop.
-            spillSnapshot(loser, loser.snap);
-            freeInMemory(loser);
+            freeSlot(slots_[victim]);
             ++evictions_;
         }
         return true;
     }
 
-    /** Try to park @p snap in the spill store for @p s.
-     *  @return true when @p s now points at a spill record. */
-    bool spillSnapshot(Slot &s, const rtl::PpCore::Snapshot &snap)
-    {
-        if (!spill_ || !spill_->enabled())
-            return false;
-        std::vector<uint8_t> bytes = snap.serialize();
-        int64_t record = spill_->append(bytes.data(), bytes.size());
-        if (record == SpillStore::invalidId)
-            return false;
-        // Fault injection (testing): damage the record on disk so
-        // the fault-back path must detect it and degrade.
-        if (fault_ == ReplayOptions::SpillFault::CorruptCrc)
-            spill_->corruptRecordForTesting(record);
-        else if (fault_ == ReplayOptions::SpillFault::Truncate)
-            spill_->truncateAtRecordForTesting(record);
-        s.record = record;
-        return true;
-    }
-
-    /** @return @p s's snapshot, faulting it back from spill if
-     *  needed; invalid (with @p s dropped) on any failure. */
-    rtl::PpCore::Snapshot materialize(Slot &s)
-    {
-        if (s.state == State::Ready) {
-            s.lastUse = ++useClock_;
-            return s.snap;
-        }
-        if (s.state == State::Spilled) {
-            std::vector<uint8_t> bytes;
-            if (spill_ && spill_->read(s.record, bytes)) {
-                rtl::PpCore::Snapshot snap =
-                    rtl::PpCore::deserializeSnapshot(
-                        config_, rtl::CoreMode::Vector, bytes.data(),
-                        bytes.size());
-                if (snap.valid())
-                    return snap;
-            }
-            // Damaged or unreadable record: degrade, never guess.
-            ++spillFallbacks_;
-            s.record = SpillStore::invalidId;
-            s.state = State::Dropped;
-        }
-        return rtl::PpCore::Snapshot();
-    }
-
-    /** Forget an in-memory snapshot (keeps any Spilled marker). */
-    void freeInMemory(Slot &s)
+    /** @return @p s's snapshot, or an invalid one when it is gone. */
+    rtl::PpCore::Snapshot snapshotOf(Slot &s)
     {
         if (s.state != State::Ready)
-            return;
-        bytes_ -= s.snap.bytes();
-        s.snap = rtl::PpCore::Snapshot();
-        s.state = s.record != SpillStore::invalidId ? State::Spilled
-                                                    : State::Dropped;
+            return rtl::PpCore::Snapshot();
+        s.lastUse = ++useClock_;
+        return s.snap;
     }
 
-    /** Drop @p s entirely (memory and spill reference). */
+    /** Drop @p s, freeing its snapshot. */
     void freeSlot(Slot &s)
     {
         if (s.state == State::Ready) {
             bytes_ -= s.snap.bytes();
             s.snap = rtl::PpCore::Snapshot();
         }
-        s.record = SpillStore::invalidId;
         s.state = State::Dropped;
     }
 
-    const rtl::PpConfig &config_;
     std::mutex mutex_;
     std::condition_variable cv_;
     /// Deque, not vector: addStride grows the container while other
     /// workers hold Slot references across cv_ waits in consume().
     std::deque<Slot> slots_;
     size_t budget_;
-    SpillStore *spill_;
-    ReplayOptions::SpillFault fault_;
     size_t bytes_ = 0;
     size_t peakBytes_ = 0;
     uint64_t useClock_ = 0;
     uint64_t published_ = 0;
     uint64_t strideCheckpoints_ = 0;
     uint64_t evictions_ = 0;
-    uint64_t spillFallbacks_ = 0;
 };
 
 /**
@@ -892,11 +821,7 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
     // read only after DonorTable::wait returns, which orders them
     // after the donor's last add.
     // ------------------------------------------------------------------
-    SpillStore spill(SpillStore::Options{
-        options_.spillDir,
-        budget > 0 ? options_.spillBudgetBytes : 0});
-    CheckpointCache cache(config_, slots, budget, &spill,
-                          options_.spillFault);
+    CheckpointCache cache(slots, budget);
     DonorTable donors(donor_active ? nt : 0);
     StrideChains chains(stride_active ? nt : 0,
                         static_cast<unsigned>(nb - 1));
@@ -1347,10 +1272,6 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
     stats_.strideCheckpoints = cache.strideCheckpoints();
     stats_.cacheEvictions = cache.evictions();
     stats_.peakCacheBytes = cache.peakBytes();
-    stats_.spillWrites = spill.writes();
-    stats_.spillReads = spill.reads();
-    stats_.spillBytes = spill.bytesWritten();
-    stats_.spillFallbacks = cache.spillFallbacks();
 
     // Registry mirror of the batch stats: one add per batch keeps
     // the hot path free of shared-counter traffic.
@@ -1364,14 +1285,6 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
     telemetry::counter("replay.bug_set_copies")
         .add(stats_.bugSetCopies);
     telemetry::counter("replay.stride_hits").add(stats_.strideHits);
-    telemetry::counter("replay.spill_writes").add(stats_.spillWrites);
-    telemetry::counter("replay.spill_reads").add(stats_.spillReads);
-    telemetry::counter("replay.spill_fallbacks")
-        .add(stats_.spillFallbacks);
-    if (stats_.spillFallbacks)
-        flight::recordEvent(flight::EventKind::SpillFallback,
-                            telemetry::currentJobId(),
-                            stats_.spillFallbacks, "replay");
     telemetry::counter("replay.cycles_avoided")
         .add(stats_.cyclesAvoided);
     telemetry::counter("replay.cycles_simulated")

@@ -57,12 +57,12 @@
  *    restore re-arms the mask (PpCore::restoreWithBugs) and
  *    non-donor blocks consume the donor block's chain instead of
  *    maintaining chains of their own.
- *  - Disk spill tier: checkpoints LRU-evicted from the byte budget
- *    are serialized into a CRC-checked temp-dir spill file
- *    (support/spill_store) under their own byte cap and faulted back
- *    in on demand. Any I/O, CRC, or decode failure degrades to
- *    from-reset replay — a damaged record can cost cycles, never
- *    correctness.
+ *
+ * Every checkpoint lives in memory under one LRU byte budget
+ * (ReplayOptions::checkpointBudgetBytes). A checkpoint that is
+ * evicted, or too big for the budget, is dropped: its consumers fall
+ * back to an earlier checkpoint or to from-reset replay, which costs
+ * cycles, never correctness.
  */
 
 #ifndef ARCHVAL_HARNESS_REPLAY_ENGINE_HH
@@ -233,30 +233,6 @@ struct ReplayOptions
     size_t checkpointStride = 1024;
 
     /**
-     * Byte cap for the disk spill tier (0 disables it). Checkpoints
-     * LRU-evicted from the in-memory budget are serialized into a
-     * CRC-checked temp file and faulted back in on demand; the cap
-     * bounds total bytes ever written (the file is append-only and
-     * removed when playAll returns). Spill failures of any kind
-     * degrade to from-reset replay.
-     */
-    size_t spillBudgetBytes = 0;
-
-    /** Spill-file directory; empty picks $TMPDIR or /tmp. An
-     *  unusable directory disables the spill tier. */
-    std::string spillDir;
-
-    /** Spill-tier fault injection (testing): damage every spilled
-     *  record so read-back must take the degradation path. */
-    enum class SpillFault
-    {
-        None,       ///< normal operation
-        CorruptCrc, ///< flip a payload byte after each write
-        Truncate,   ///< cut the file at each record after writing
-    };
-    SpillFault spillFault = SpillFault::None;
-
-    /**
      * Early exit for hunt loops: once a job diverges, jobs for later
      * traces (within the same bug set) are skipped and returned with
      * PlayResult::skipped set. The first divergence and every result
@@ -315,15 +291,6 @@ struct ReplayStats
      *  trigger is the diverged run itself and must be re-stepped by
      *  any scheme. */
     uint64_t triggeredLeadCycles = 0;
-    /** @} */
-
-    /** @name Disk spill tier @{ */
-    uint64_t spillWrites = 0;    ///< checkpoints evicted to disk
-    uint64_t spillReads = 0;     ///< spill-record read attempts
-    uint64_t spillBytes = 0;     ///< payload bytes written to the file
-    /** Spill read/decode failures; each degraded a planned restore
-     *  to a miss (from-reset or nearest earlier checkpoint). */
-    uint64_t spillFallbacks = 0;
     /** @} */
 
     /** @name Cross-batch warm cache (ReplayWarmCache) @{ */

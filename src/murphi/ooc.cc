@@ -16,7 +16,7 @@
 
 #include "compile/kernel.hh"
 #include "fsm/model.hh"
-#include "support/spill_store.hh"
+#include "support/record_file.hh"
 #include "support/status.hh"
 #include "support/strings.hh"
 #include "support/telemetry.hh"

@@ -165,13 +165,14 @@ namespace
 {
 
 /**
- * Byte-stream helpers for the spill-tier snapshot record. The format
- * is a plain concatenation of trivially-copyable blocks and
- * length-prefixed arrays in native layout — a spill record never
- * leaves the host, and SpillStore CRC-checks the bytes in transit;
- * the reader only has to reject structural damage (bad lengths,
- * foreign configuration), which it does by refusing to read past the
- * end and by checking every length against the constructing config.
+ * Byte-stream helpers for the snapshot record. The format is a plain
+ * concatenation of trivially-copyable blocks and length-prefixed
+ * arrays in native layout — a record never leaves the host. It
+ * travels only through the replay warm cache and the service's
+ * session files, which RecordFile CRC-guards on disk; the reader
+ * only has to reject structural damage (bad lengths, foreign
+ * configuration), which it does by refusing to read past the end and
+ * by checking every length against the constructing config.
  */
 struct ByteWriter
 {

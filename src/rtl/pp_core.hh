@@ -121,8 +121,9 @@ class PpCore
         size_t inboxRemaining() const;
 
         /**
-         * Serialize to a self-contained byte record for the disk
-         * spill tier. Same-host format (native endianness and struct
+         * Serialize to a self-contained byte record (the replay warm
+         * cache's chain links, which the service persists in session
+         * files). Same-host format (native endianness and struct
          * layout), versioned and tagged with the capture
          * configuration so deserializeSnapshot() can reject foreign
          * records. @return an empty vector for an invalid snapshot.
@@ -284,7 +285,7 @@ class PpCore
 
     void reset();
 
-    /** Append the whole machine state to @p out (spill tier). */
+    /** Append the whole machine state to @p out (snapshot record). */
     void serializeInto(std::vector<uint8_t> &out) const;
 
     /** Overwrite this core's state from serializeInto() bytes.

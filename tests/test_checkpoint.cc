@@ -12,12 +12,13 @@
  *     restoring a donor snapshot with the bug mask re-armed
  *     (PpCore::restoreWithBugs) reproduces the bugged run exactly.
  *  3. The engine's results are byte-identical to the sequential
- *     VectorPlayer for every (stride × cache budget × spill budget ×
- *     worker count) combination — including under injected spill
- *     faults, which may cost cycles but never correctness.
+ *     VectorPlayer for every (stride × cache budget × worker count)
+ *     combination — including budgets so small that checkpoints are
+ *     evicted and dropped, which may cost cycles but never
+ *     correctness.
  *
- * The suite exercises the worker pool and the spill tier, so it is
- * part of the ARCHVAL_SANITIZE=thread build (see README).
+ * The suite exercises the worker pool, so it is part of the
+ * ARCHVAL_SANITIZE=thread build (see README).
  */
 
 #include <gtest/gtest.h>
@@ -33,8 +34,8 @@
 #include "harness/replay_engine.hh"
 #include "harness/vector_player.hh"
 #include "murphi/enumerator.hh"
+#include "support/record_file.hh"
 #include "support/rng.hh"
-#include "support/spill_store.hh"
 #include "support/status.hh"
 
 namespace archval::harness
@@ -321,24 +322,22 @@ TEST_F(CheckpointFixture, BugRearmRoundTripFuzz)
 
 TEST_F(CheckpointFixture, EngineMatchesSequentialAcrossTierSweep)
 {
-    // The acceptance sweep: stride × (memory budget, spill budget) ×
-    // worker count, all six Table 2.1 bug sets plus the bug-free
-    // donor. Tiny memory budgets force evictions into the spill
-    // tier; spill budget 0 forces evictions into drops.
+    // The acceptance sweep: stride × memory budget × worker count,
+    // all six Table 2.1 bug sets plus the bug-free donor. The tiny
+    // budget forces evictions, and an evicted checkpoint is dropped.
     const size_t one = snapshotBytes();
     struct Tier
     {
         size_t memory;
-        size_t spill;
         const char *name;
     };
     const Tier tiers[] = {
-        {size_t{1} << 40, 0, "mem-unbounded"},
-        {2 * one, size_t{1} << 40, "mem-tiny+spill"},
-        {2 * one, 0, "mem-tiny+drop"},
+        {size_t{1} << 40, "mem-unbounded"},
+        {2 * one, "mem-tiny+drop"},
     };
     const size_t strides[] = {0, 64, 4096};
     bool stride_hit_somewhere = false;
+    bool eviction_somewhere = false;
 
     for (size_t stride : strides) {
         for (const Tier &tier : tiers) {
@@ -347,7 +346,6 @@ TEST_F(CheckpointFixture, EngineMatchesSequentialAcrossTierSweep)
                 options.numThreads = nw;
                 options.checkpointStride = stride;
                 options.checkpointBudgetBytes = tier.memory;
-                options.spillBudgetBytes = tier.spill;
                 ReplayStats stats = expectMatrixIdentical(
                     *config_, *traces_, *bug_sets_, *expected_,
                     options,
@@ -369,16 +367,21 @@ TEST_F(CheckpointFixture, EngineMatchesSequentialAcrossTierSweep)
                     EXPECT_LE(stats.triggeredLeadCycles,
                               stats.triggeredJobCycles);
                 }
-                if (tier.spill == 0 &&
-                    tier.memory > (size_t{1} << 30)) {
-                    EXPECT_EQ(stats.spillWrites, 0u);
+                if (tier.memory < (size_t{1} << 30)) {
+                    if (stats.cacheEvictions > 0)
+                        eviction_somewhere = true;
+                } else {
+                    EXPECT_EQ(stats.cacheEvictions, 0u)
+                        << "stride=" << stride << " workers=" << nw;
                 }
             }
         }
     }
-    // The sweep must actually exercise the tier it validates: at
-    // least one configuration resumes a triggered job mid-trace.
+    // The sweep must actually exercise what it validates: at least
+    // one configuration resumes a triggered job mid-trace, and at
+    // least one drops an evicted checkpoint and still matches.
     EXPECT_TRUE(stride_hit_somewhere);
+    EXPECT_TRUE(eviction_somewhere);
 }
 
 TEST_F(CheckpointFixture, RandomizedPropertyDifferential)
@@ -419,8 +422,6 @@ TEST_F(CheckpointFixture, RandomizedPropertyDifferential)
         options.checkpointStride = rng.index(2 * max_len);
         options.checkpointBudgetBytes =
             rng.chance(1, 4) ? 0 : rng.range(one, 64 * one);
-        options.spillBudgetBytes =
-            rng.chance(1, 2) ? 0 : rng.range(one, 64 * one);
         options.minPrefixCycles = rng.range(1, 64);
         expectMatrixIdentical(
             *config_, *traces_, bug_sets, expected, options,
@@ -428,168 +429,6 @@ TEST_F(CheckpointFixture, RandomizedPropertyDifferential)
                 std::to_string(options.numThreads) + " stride=" +
                 std::to_string(options.checkpointStride));
     }
-}
-
-// ---------------------------------------------------------------------
-// Spill-tier fault injection: damage may cost cycles, never bytes.
-// ---------------------------------------------------------------------
-
-TEST_F(CheckpointFixture, SpillTierRoundTripsUnderPressure)
-{
-    // A memory budget of ~1 snapshot forces every published
-    // checkpoint through the spill tier; results must not change and
-    // the spill counters must show real traffic.
-    ReplayOptions options;
-    options.numThreads = 2;
-    options.checkpointStride = 64;
-    options.checkpointBudgetBytes = snapshotBytes() + 1;
-    options.spillBudgetBytes = size_t{1} << 40;
-    options.minPrefixCycles = 4;
-    ReplayStats stats = expectMatrixIdentical(
-        *config_, *traces_, *bug_sets_, *expected_, options,
-        "spill pressure");
-    EXPECT_GT(stats.spillWrites, 0u);
-    EXPECT_GT(stats.spillBytes, 0u);
-    EXPECT_GT(stats.spillReads, 0u);
-    EXPECT_EQ(stats.spillFallbacks, 0u);
-}
-
-TEST_F(CheckpointFixture, InjectedSpillFaultsDegradeGracefully)
-{
-    // Every spilled record is damaged on disk (flipped payload byte,
-    // then truncation). Faulting back must detect the damage, count
-    // a fallback, and replay from an earlier checkpoint or reset —
-    // with byte-identical results throughout.
-    for (auto fault : {ReplayOptions::SpillFault::CorruptCrc,
-                       ReplayOptions::SpillFault::Truncate}) {
-        ReplayOptions options;
-        options.numThreads = 2;
-        options.checkpointStride = 64;
-        options.checkpointBudgetBytes = snapshotBytes() + 1;
-        options.spillBudgetBytes = size_t{1} << 40;
-        options.minPrefixCycles = 4;
-        options.spillFault = fault;
-        const char *name =
-            fault == ReplayOptions::SpillFault::CorruptCrc
-                ? "corrupt-crc"
-                : "truncate";
-        ReplayStats stats = expectMatrixIdentical(
-            *config_, *traces_, *bug_sets_, *expected_, options,
-            name);
-        EXPECT_GT(stats.spillWrites, 0u) << name;
-        EXPECT_GT(stats.spillFallbacks, 0u) << name;
-    }
-}
-
-TEST_F(CheckpointFixture, UnusableSpillDirectoryDisablesTier)
-{
-    // A nonexistent spill directory must disable the tier (no file,
-    // no writes) without affecting results.
-    ReplayOptions options;
-    options.numThreads = 2;
-    options.checkpointBudgetBytes = snapshotBytes() + 1;
-    options.spillBudgetBytes = size_t{1} << 40;
-    options.spillDir = "/nonexistent/archval-spill-dir";
-    options.minPrefixCycles = 4;
-    ReplayStats stats = expectMatrixIdentical(
-        *config_, *traces_, *bug_sets_, *expected_, options,
-        "bad spill dir");
-    EXPECT_EQ(stats.spillWrites, 0u);
-    EXPECT_EQ(stats.spillReads, 0u);
-}
-
-// ---------------------------------------------------------------------
-// SpillStore unit-level faults (real file damage, no engine).
-// ---------------------------------------------------------------------
-
-TEST(SpillStoreTest, RoundTripAndStats)
-{
-    SpillStore store(SpillStore::Options{});
-    ASSERT_TRUE(store.enabled());
-    std::vector<uint8_t> a(1000);
-    for (size_t i = 0; i < a.size(); ++i)
-        a[i] = (uint8_t)(i * 7);
-    std::vector<uint8_t> b(313, 0x5A);
-
-    int64_t ida = store.append(a.data(), a.size());
-    int64_t idb = store.append(b.data(), b.size());
-    ASSERT_NE(ida, SpillStore::invalidId);
-    ASSERT_NE(idb, SpillStore::invalidId);
-
-    std::vector<uint8_t> out;
-    EXPECT_TRUE(store.read(idb, out));
-    EXPECT_EQ(out, b);
-    EXPECT_TRUE(store.read(ida, out));
-    EXPECT_EQ(out, a);
-    EXPECT_EQ(store.writes(), 2u);
-    EXPECT_EQ(store.reads(), 2u);
-    EXPECT_EQ(store.readFailures(), 0u);
-    EXPECT_EQ(store.bytesWritten(), a.size() + b.size());
-
-    EXPECT_FALSE(store.read(99, out)); // unknown id
-    EXPECT_TRUE(out.empty());
-}
-
-TEST(SpillStoreTest, CorruptedRecordFailsCrc)
-{
-    SpillStore store(SpillStore::Options{});
-    ASSERT_TRUE(store.enabled());
-    std::vector<uint8_t> data(4096, 0xA5);
-    int64_t id = store.append(data.data(), data.size());
-    ASSERT_NE(id, SpillStore::invalidId);
-    ASSERT_TRUE(store.corruptRecordForTesting(id));
-
-    std::vector<uint8_t> out(3, 1);
-    EXPECT_FALSE(store.read(id, out));
-    EXPECT_TRUE(out.empty()) << "failed read must not leak bytes";
-    EXPECT_EQ(store.readFailures(), 1u);
-}
-
-TEST(SpillStoreTest, TruncatedFileFailsShortRead)
-{
-    SpillStore store(SpillStore::Options{});
-    ASSERT_TRUE(store.enabled());
-    std::vector<uint8_t> first(256, 0x11);
-    std::vector<uint8_t> second(256, 0x22);
-    int64_t id0 = store.append(first.data(), first.size());
-    int64_t id1 = store.append(second.data(), second.size());
-    ASSERT_TRUE(store.truncateAtRecordForTesting(id1));
-
-    std::vector<uint8_t> out;
-    EXPECT_TRUE(store.read(id0, out)) << "record before cut survives";
-    EXPECT_EQ(out, first);
-    EXPECT_FALSE(store.read(id1, out));
-    EXPECT_TRUE(out.empty());
-}
-
-TEST(SpillStoreTest, BudgetCapRefusesOverflow)
-{
-    SpillStore store(SpillStore::Options{"", 100});
-    ASSERT_TRUE(store.enabled());
-    std::vector<uint8_t> data(60, 0x33);
-    EXPECT_NE(store.append(data.data(), data.size()),
-              SpillStore::invalidId);
-    // 60 + 60 > 100: the second append must be refused, and the
-    // refusal must not disable the store.
-    EXPECT_EQ(store.append(data.data(), data.size()),
-              SpillStore::invalidId);
-    std::vector<uint8_t> small(30, 0x44);
-    EXPECT_NE(store.append(small.data(), small.size()),
-              SpillStore::invalidId);
-}
-
-TEST(SpillStoreTest, ZeroBudgetAndBadDirDisable)
-{
-    SpillStore none(SpillStore::Options{"", 0});
-    EXPECT_FALSE(none.enabled());
-    EXPECT_TRUE(none.path().empty());
-
-    SpillStore bad(
-        SpillStore::Options{"/nonexistent/archval-spill-dir", 1024});
-    EXPECT_FALSE(bad.enabled());
-    std::vector<uint8_t> data(8, 0);
-    EXPECT_EQ(bad.append(data.data(), data.size()),
-              SpillStore::invalidId);
 }
 
 // ---------------------------------------------------------------------
@@ -741,19 +580,6 @@ TEST(RecordFileTest, FlippedBitAndTruncationAreStickyDamage)
     ASSERT_EQ(::truncate(path.c_str(), 5), 0);
     EXPECT_FALSE(RecordFileReader(path, kTestMagic, 1).ok());
     ::unlink(path.c_str());
-}
-
-TEST(SpillStoreTest, ReadOnlyDirectoryDisables)
-{
-    // Root bypasses directory permission bits, so the scenario is
-    // only constructible as an unprivileged user.
-    if (::geteuid() == 0)
-        GTEST_SKIP() << "running as root: mode 0500 is not read-only";
-    std::string dir = ::testing::TempDir() + "/archval-ro-spill";
-    ASSERT_EQ(::mkdir(dir.c_str(), 0500), 0);
-    SpillStore store(SpillStore::Options{dir, 1024});
-    EXPECT_FALSE(store.enabled());
-    ::rmdir(dir.c_str());
 }
 
 } // namespace

@@ -28,7 +28,7 @@
 #include "murphi/enumerator.hh"
 #include "murphi/ooc.hh"
 #include "rtl/pp_fsm_model.hh"
-#include "support/spill_store.hh"
+#include "support/record_file.hh"
 
 // TSan does not support fork-without-exec, so the multi-process
 // differentials are skipped under it; the thread and single-process

@@ -265,6 +265,44 @@ TEST_F(FuzzFixture, CorpusEvictsLowestEnergyPastBound)
         EXPECT_NE(entry.energy, 2u);
 }
 
+TEST_F(FuzzFixture, CorpusReportsNewcomerItEvicts)
+{
+    // A full corpus evicts its lowest-energy entry; when that is the
+    // newcomer, add() and adopt() must say so instead of returning
+    // the index of an entry that was already there.
+    Corpus corpus(2);
+    Corpus adopter(2);
+    for (uint64_t seed = 0; seed < 2; ++seed) {
+        Candidate candidate;
+        candidate.trace = tours_->front();
+        candidate.vecgenSeed = seed;
+        EXPECT_EQ(corpus.add(candidate, 10),
+                  std::optional<size_t>(seed));
+        EXPECT_EQ(adopter.adopt(corpus.entry(seed)),
+                  std::optional<size_t>(seed));
+    }
+    Candidate weak;
+    weak.trace = tours_->front();
+    weak.vecgenSeed = 2;
+    EXPECT_EQ(corpus.add(weak, 1), std::nullopt);
+    CorpusEntry weak_entry;
+    weak_entry.candidate = std::make_shared<const Candidate>(weak);
+    weak_entry.energy = 1;
+    EXPECT_EQ(adopter.adopt(weak_entry), std::nullopt);
+    for (const Corpus *c : {&corpus, &adopter}) {
+        ASSERT_EQ(c->size(), 2u);
+        EXPECT_EQ(c->entry(0).candidate->vecgenSeed, 0u);
+        EXPECT_EQ(c->entry(1).candidate->vecgenSeed, 1u);
+    }
+
+    // A newcomer that outlives the evicted entry gets its own,
+    // post-eviction index.
+    Candidate strong = weak;
+    strong.vecgenSeed = 3;
+    EXPECT_EQ(corpus.add(strong, 20), std::optional<size_t>(1));
+    EXPECT_EQ(corpus.entry(1).candidate->vecgenSeed, 3u);
+}
+
 TEST_F(FuzzFixture, CorpusAdoptSharesCandidateAndEvictsLikeAdd)
 {
     // A campaign broadcasts admitted entries with adopt(): the

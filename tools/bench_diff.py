@@ -43,7 +43,7 @@ ID_KEYS = (
     "threads",
     "cache",
     "stride",
-    "spill_budget_mb",
+    "budget_mb",
     "budget_kb",
     "processes",
     "bug",
@@ -111,7 +111,6 @@ MIN_FLOORS = {
 METRICS_LOWER_IS_BETTER = {
     "replay.checkpoint_misses",
     "replay.verify_fallbacks",
-    "replay.spill_fallbacks",
     "replay.cycles_simulated",
     # Service health: jobs turned away or failed, protocol damage
     # and enumeration spill fallbacks are regressions when they grow.

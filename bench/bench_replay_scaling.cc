@@ -15,6 +15,12 @@
  * stayed byte-identical to the sequential player (they must — the
  * cache is a pure accelerator).
  *
+ * A second section measures re-reaching a bug through the warm
+ * cache: for each chain-link stride the plain 10k batch plays cold
+ * (populating a fresh ReplayWarmCache) and then warm, where every
+ * triggered job resumes from the donor's greatest link below its
+ * first trigger.
+ *
  * `--json <path>` additionally writes the table as JSON (see
  * README; CI uses BENCH_replay.json).
  */
@@ -135,9 +141,6 @@ main(int argc, char **argv)
             options.numThreads = threads;
             options.checkpointBudgetBytes =
                 cache ? (256ull << 20) : 0;
-            // Stride tier off: this sweep isolates the prefix-cache
-            // axis (the tier gets its own sweep below).
-            options.checkpointStride = 0;
             harness::ReplayEngine engine(config, options);
             WallTimer timer;
             auto results = engine.playAll(vectors, bug_sets);
@@ -194,29 +197,27 @@ main(int argc, char **argv)
                 100.0 * best_reduction);
 
     // ------------------------------------------------------------------
-    // Tiered in-trace checkpointing: stride x budget sweep. The jobs
-    // this tier targets are the ones donor copying cannot touch —
-    // (trace, bug) pairs whose fault *did* trigger on the bug-free
-    // run. Each such job resumes from the greatest periodic donor
-    // checkpoint strictly below its first trigger cycle (bug mask
-    // re-armed at restore). "Savings" is avoided/avoidable: the
-    // fraction of the jobs' reset-to-trigger lead cycles never
-    // re-stepped. The lead is the right denominator — everything
-    // past the trigger is the diverged run itself, which any scheme
-    // must simulate — and it is the Table 3.3 quantity, the time to
-    // rerun a simulation to reach a bug. Each stride runs at the
-    // default checkpoint budget and at 256 MB: where the default
-    // binds, evicted checkpoints are dropped, and the rows show what
-    // the budget costs in cycles and what the larger one costs in
-    // cache bytes.
+    // Re-reaching a bug: warm-chain rows. The jobs this targets are
+    // the ones donor copying cannot touch — (trace, bug) pairs whose
+    // fault *did* trigger on the bug-free run. A cold run deposits
+    // each trace's donor result and a checkpoint chain (one link
+    // every `stride` cycles) in a fresh warm cache; on the warm
+    // repeat each triggered job resumes from the greatest link
+    // strictly below its first trigger cycle (bug mask re-armed at
+    // restore). "Savings" is avoided/avoidable: the fraction of the
+    // jobs' reset-to-trigger lead cycles never re-stepped. The lead
+    // is the right denominator — everything past the trigger is the
+    // diverged run itself, which any scheme must simulate — and it is
+    // the Table 3.3 quantity, the time to rerun a simulation to
+    // reach a bug.
     //
-    // The sweep runs on the *plain* 10k-limit batch (the Table 2.1
-    // hunt workload). On the nested batch above the tier is
-    // structurally idle: every trace re-walks the same stem, so the
-    // fault conjunctions fire within that stem's first few hundred
-    // cycles of every trace, below the first checkpoint of any
-    // useful stride. Plain traces cover disjoint graph regions, so
-    // trigger cycles spread across the whole trace length.
+    // The rows run on the *plain* 10k-limit batch (the Table 2.1
+    // hunt workload). On the nested batch above, every trace re-walks
+    // the same stem, so the fault conjunctions fire within that
+    // stem's first few hundred cycles of every trace, below the first
+    // link of any useful stride. Plain traces cover disjoint graph
+    // regions, so trigger cycles spread across the whole trace
+    // length.
     // ------------------------------------------------------------------
     phase.emplace("bench.plain_setup");
     graph::TourOptions plain_options;
@@ -229,76 +230,68 @@ main(int argc, char **argv)
     auto plain_reference = plain_seq.playAll(plain_vectors, bug_sets);
     const uint64_t plain_fingerprint = fingerprint(plain_reference);
 
-    std::printf("\nstride x budget sweep (plain 10k-limit batch, %s "
-                "traces):\n",
+    std::printf("\nwarm-chain re-reach (plain 10k-limit batch, %s "
+                "traces; cold, then warm):\n",
                 withCommas(plain_vectors.size()).c_str());
-    std::printf("%8s %10s %8s %6s %6s %9s %8s %9s %10s\n",
-                "stride", "budget MB", "chkpts", "trig", "hits",
-                "savings", "evicted", "peak MB", "identical");
+    std::printf("%8s %9s %6s %6s %9s %12s %12s %10s\n", "stride",
+                "chain MB", "trig", "hits", "savings", "cold cycles",
+                "warm cycles", "identical");
 
-    const size_t default_budget_mb =
-        harness::ReplayOptions{}.checkpointBudgetBytes >> 20;
     double best_savings = 0.0;
-    for (size_t stride : {size_t{0}, size_t{256}, size_t{1024},
-                          size_t{4096}}) {
-        for (size_t budget_mb : {default_budget_mb, size_t{256}}) {
-            phase.emplace("bench.stride_point", "stride",
-                          (uint64_t)stride, "budget_mb",
-                          (uint64_t)budget_mb);
-            harness::ReplayOptions options;
-            options.numThreads = 4;
-            options.checkpointStride = stride;
-            options.checkpointBudgetBytes = budget_mb << 20;
-            harness::ReplayEngine engine(config, options);
-            WallTimer timer;
-            auto results = engine.playAll(plain_vectors, bug_sets);
-            double seconds = timer.seconds();
-            const auto &stats = engine.stats();
-            bool identical =
-                fingerprint(results) == plain_fingerprint;
-            if (stride > 0 && stats.strideSavings() > best_savings)
-                best_savings = stats.strideSavings();
+    for (size_t stride : {size_t{256}, size_t{1024}, size_t{4096}}) {
+        phase.emplace("bench.warm_chain_point", "stride",
+                      (uint64_t)stride);
+        harness::ReplayOptions options;
+        options.numThreads = 4;
+        options.checkpointStride = stride;
+        options.warmCache = std::make_shared<harness::ReplayWarmCache>();
+        harness::ReplayEngine cold(config, options);
+        auto cold_results = cold.playAll(plain_vectors, bug_sets);
+        harness::ReplayEngine engine(config, options);
+        WallTimer timer;
+        auto results = engine.playAll(plain_vectors, bug_sets);
+        double seconds = timer.seconds();
+        const auto &stats = engine.stats();
+        const size_t chain_bytes = options.warmCache->stats().bytes;
+        bool identical =
+            fingerprint(cold_results) == plain_fingerprint &&
+            fingerprint(results) == plain_fingerprint;
+        if (stats.strideSavings() > best_savings)
+            best_savings = stats.strideSavings();
 
-            std::printf(
-                "%8zu %10zu %8s %6s %6s %8.1f%% %8s %9.1f %10s\n",
-                stride, budget_mb,
-                withCommas(stats.strideCheckpoints).c_str(),
-                withCommas(stats.triggeredJobs).c_str(),
-                withCommas(stats.strideHits).c_str(),
-                100.0 * stats.strideSavings(),
-                withCommas(stats.cacheEvictions).c_str(),
-                double(stats.peakCacheBytes) / double(1 << 20),
-                identical ? "yes" : "NO");
+        std::printf("%8zu %9.1f %6s %6s %8.1f%% %12s %12s %10s\n",
+                    stride, double(chain_bytes) / double(1 << 20),
+                    withCommas(stats.triggeredJobs).c_str(),
+                    withCommas(stats.strideHits).c_str(),
+                    100.0 * stats.strideSavings(),
+                    withCommas(cold.stats().simulatedCycles).c_str(),
+                    withCommas(stats.simulatedCycles).c_str(),
+                    identical ? "yes" : "NO");
 
-            json.beginRow();
-            json.add("section", "stride");
-            json.add("stride", (uint64_t)stride);
-            json.add("budget_mb", (uint64_t)budget_mb);
-            json.add("wall_seconds", seconds);
-            json.add("stride_checkpoints", stats.strideCheckpoints);
-            json.add("triggered_jobs", stats.triggeredJobs);
-            json.add("triggered_job_cycles",
-                     stats.triggeredJobCycles);
-            json.add("triggered_lead_cycles",
-                     stats.triggeredLeadCycles);
-            json.add("stride_hits", stats.strideHits);
-            json.add("stride_resume_cycles",
-                     stats.strideResumeCycles);
-            json.add("stride_savings", stats.strideSavings());
-            json.add("simulated_cycles", stats.simulatedCycles);
-            json.add("cache_evictions", stats.cacheEvictions);
-            json.add("peak_cache_bytes",
-                     (uint64_t)stats.peakCacheBytes);
-            json.add("identical", identical);
-            if (!identical)
-                return 1;
-        }
+        json.beginRow();
+        json.add("section", "warm_chain");
+        json.add("stride", (uint64_t)stride);
+        json.add("wall_seconds", seconds);
+        json.add("warm_cache_bytes", (uint64_t)chain_bytes);
+        json.add("warm_hits", stats.warmHits);
+        json.add("triggered_jobs", stats.triggeredJobs);
+        json.add("triggered_job_cycles", stats.triggeredJobCycles);
+        json.add("triggered_lead_cycles", stats.triggeredLeadCycles);
+        json.add("stride_hits", stats.strideHits);
+        json.add("stride_resume_cycles", stats.strideResumeCycles);
+        json.add("stride_savings", stats.strideSavings());
+        json.add("cold_simulated_cycles",
+                 cold.stats().simulatedCycles);
+        json.add("simulated_cycles", stats.simulatedCycles);
+        json.add("identical", identical);
+        if (!identical)
+            return 1;
     }
 
-    std::printf("\nsummary: in-trace checkpoints skip %.1f%% of the "
-                "cycles between reset and the\nbugs' first triggers "
-                "at the best stride (the time to re-reach a bug); "
-                "results\nstay byte-identical throughout.\n",
+    std::printf("\nsummary: warm chain links skip %.1f%% of the cycles "
+                "between reset and the\nbugs' first triggers at the "
+                "best stride (the time to re-reach a bug); results\n"
+                "stay byte-identical throughout.\n",
                 100.0 * best_savings);
 
     phase.reset();

@@ -4,7 +4,6 @@
 #include <array>
 #include <atomic>
 #include <condition_variable>
-#include <deque>
 #include <mutex>
 #include <numeric>
 #include <thread>
@@ -51,16 +50,12 @@ commonPrefix(const std::vector<rtl::ForcedSignals> &a,
 }
 
 /**
- * Runtime checkpoint cache: snapshots held in memory under one byte
- * budget.
+ * Runtime checkpoint cache: the plan's prefix-tree snapshots, held
+ * in memory under one byte budget.
  *
- * Entries come in two kinds: *plan slots* (the prefix-tree
- * checkpoints planned before execution, with exact consumer counts)
- * and *stride entries* (periodic donor checkpoints added at runtime,
- * shared read-only by every non-donor bug set and dropped when their
- * trace's last consumer finishes). Eviction is LRU across both kinds;
- * an evicted entry is dropped, and the caller degrades to an earlier
- * checkpoint or from-reset replay.
+ * Each plan slot carries its exact consumer count; the last consumer
+ * frees it. Eviction is LRU; an evicted slot is dropped, and its
+ * consumers degrade to from-reset replay.
  *
  * One mutex guards everything — publishes and consumes are rare next
  * to the simulation they save.
@@ -69,9 +64,8 @@ class CheckpointCache
 {
   public:
     CheckpointCache(const std::vector<SlotPlan> &plans, size_t budget)
-        : budget_(budget)
+        : slots_(plans.size()), budget_(budget)
     {
-        slots_.resize(plans.size());
         for (size_t i = 0; i < plans.size(); ++i)
             slots_[i].remaining = plans[i].consumers;
     }
@@ -81,12 +75,20 @@ class CheckpointCache
     {
         std::lock_guard<std::mutex> lock(mutex_);
         Slot &s = slots_[slot];
-        if (s.remaining == 0)
+        const size_t bytes = snap.bytes();
+        if (s.remaining == 0 || !makeRoom(bytes)) {
+            // No consumer left, or too big for the whole memory
+            // budget (mid-trace snapshots outgrow the reset-state
+            // estimate).
             s.state = State::Dropped;
-        else
-            insert(s, std::move(snap));
-        if (s.state != State::Dropped)
+        } else {
+            s.snap = std::move(snap);
+            s.state = State::Ready;
+            s.lastUse = ++useClock_;
+            bytes_ += bytes;
+            peakBytes_ = std::max(peakBytes_, bytes_);
             ++published_;
+        }
         cv_.notify_all();
     }
 
@@ -125,40 +127,7 @@ class CheckpointCache
             freeSlot(s);
     }
 
-    /** Add a periodic donor checkpoint. @return its entry id. */
-    size_t addStride(rtl::PpCore::Snapshot snap)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        slots_.emplace_back();
-        Slot &s = slots_.back();
-        s.stride = true;
-        insert(s, std::move(snap));
-        ++strideCheckpoints_;
-        return slots_.size() - 1;
-    }
-
-    /**
-     * Fetch stride entry @p id without consuming it (the donor chain
-     * is shared by every non-donor bug set). Stride entries are
-     * never pending — the donor published the whole chain before its
-     * result became visible.
-     */
-    rtl::PpCore::Snapshot fetchStride(size_t id)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return snapshotOf(slots_[id]);
-    }
-
-    /** Free a trace's stride chain (its last consumer finished). */
-    void dropChain(const std::vector<size_t> &ids)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        for (size_t id : ids)
-            freeSlot(slots_[id]);
-    }
-
     uint64_t published() const { return published_; }
-    uint64_t strideCheckpoints() const { return strideCheckpoints_; }
     uint64_t evictions() const { return evictions_; }
     size_t peakBytes() const { return peakBytes_; }
 
@@ -176,25 +145,7 @@ class CheckpointCache
         rtl::PpCore::Snapshot snap;
         unsigned remaining = 0;
         uint64_t lastUse = 0;
-        bool stride = false;
     };
-
-    /** Place @p snap into @p s, evicting as needed. */
-    void insert(Slot &s, rtl::PpCore::Snapshot snap)
-    {
-        size_t bytes = snap.bytes();
-        if (makeRoom(bytes)) {
-            s.snap = std::move(snap);
-            s.state = State::Ready;
-            s.lastUse = ++useClock_;
-            bytes_ += bytes;
-            peakBytes_ = std::max(peakBytes_, bytes_);
-        } else {
-            // Too big for the whole memory budget (mid-trace
-            // snapshots outgrow the reset-state estimate).
-            s.state = State::Dropped;
-        }
-    }
 
     /** Evict LRU entries until @p bytes fits the memory budget. */
     bool makeRoom(size_t bytes)
@@ -239,15 +190,12 @@ class CheckpointCache
 
     std::mutex mutex_;
     std::condition_variable cv_;
-    /// Deque, not vector: addStride grows the container while other
-    /// workers hold Slot references across cv_ waits in consume().
-    std::deque<Slot> slots_;
+    std::vector<Slot> slots_;
     size_t budget_;
     size_t bytes_ = 0;
     size_t peakBytes_ = 0;
     uint64_t useClock_ = 0;
     uint64_t published_ = 0;
-    uint64_t strideCheckpoints_ = 0;
     uint64_t evictions_ = 0;
 };
 
@@ -262,6 +210,15 @@ class CheckpointCache
 class DonorTable
 {
   public:
+    /** What a completed donor run leaves for its trace's consumers. */
+    struct Record
+    {
+        PlayResult result;
+        /** First cycle each bug's trigger conjunction held on the
+         *  bug-free run (UINT64_MAX = never). */
+        std::array<uint64_t, rtl::numBugs> triggers{};
+    };
+
     explicit DonorTable(size_t traces) : entries_(traces) {}
 
     /** Donor completed: record its result and trigger cycles. */
@@ -270,8 +227,8 @@ class DonorTable
     {
         std::lock_guard<std::mutex> lock(mutex_);
         Entry &e = entries_[trace];
-        e.result = result;
-        e.triggers = triggers;
+        e.record.result = result;
+        e.record.triggers = triggers;
         e.state = State::Ready;
         cv_.notify_all();
     }
@@ -285,20 +242,15 @@ class DonorTable
     }
 
     /**
-     * Block until @p trace's donor resolves. @return true (with
-     * @p result / @p triggers filled) when it completed.
+     * Block until @p trace's donor resolves. @return its record
+     * (immutable from then on), or null when the donor was skipped.
      */
-    bool wait(size_t trace, PlayResult &result,
-              std::array<uint64_t, rtl::numBugs> &triggers)
+    const Record *wait(size_t trace)
     {
         std::unique_lock<std::mutex> lock(mutex_);
         Entry &e = entries_[trace];
         cv_.wait(lock, [&] { return e.state != State::Pending; });
-        if (e.state != State::Ready)
-            return false;
-        result = e.result;
-        triggers = e.triggers;
-        return true;
+        return e.state == State::Ready ? &e.record : nullptr;
     }
 
   private:
@@ -312,80 +264,12 @@ class DonorTable
     struct Entry
     {
         State state = State::Pending;
-        PlayResult result;
-        std::array<uint64_t, rtl::numBugs> triggers{};
+        Record record;
     };
 
     std::mutex mutex_;
     std::condition_variable cv_;
     std::vector<Entry> entries_;
-};
-
-/**
- * Per-trace chains of periodic donor checkpoints: (cycle, cache id)
- * links in increasing cycle order, filled by the donor job and read
- * by every non-donor job for the same trace after the donor
- * resolves. Each trace's chain carries a consumer count (one per
- * non-donor bug set); the last consumer frees the chain's cache
- * entries.
- */
-class StrideChains
-{
-  public:
-    StrideChains(size_t traces, unsigned consumers)
-        : chains_(traces), remaining_(traces, consumers)
-    {
-    }
-
-    /** Donor appends a checkpoint (cycles strictly increase). */
-    void add(size_t trace, uint64_t cycle, size_t id)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        chains_[trace].push_back(Link{cycle, id});
-    }
-
-    /** @return cache id of the greatest checkpoint with cycle
-     *  strictly below @p below, or -1 when none qualifies. */
-    int64_t find(size_t trace, uint64_t below) const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto &chain = chains_[trace];
-        for (size_t i = chain.size(); i-- > 0;) {
-            if (chain[i].cycle < below)
-                return (int64_t)chain[i].id;
-        }
-        return -1;
-    }
-
-    /**
-     * Drop one consumer claim on @p trace's chain. @return the
-     * chain's cache ids when this was the last claim (the caller
-     * frees them in the cache), empty otherwise.
-     */
-    std::vector<size_t> release(size_t trace)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (--remaining_[trace] != 0)
-            return {};
-        std::vector<size_t> ids;
-        ids.reserve(chains_[trace].size());
-        for (const Link &link : chains_[trace])
-            ids.push_back(link.id);
-        chains_[trace].clear();
-        chains_[trace].shrink_to_fit();
-        return ids;
-    }
-
-  private:
-    struct Link
-    {
-        uint64_t cycle = 0;
-        size_t id = 0;
-    };
-
-    mutable std::mutex mutex_;
-    std::vector<std::vector<Link>> chains_;
-    std::vector<unsigned> remaining_;
 };
 
 /** Per-worker stat accumulators (merged once at the end). */
@@ -405,8 +289,6 @@ struct LocalStats
     uint64_t triggeredLeadCycles = 0;
     uint64_t cancelled = 0;
     uint64_t warmCopies = 0;
-    uint64_t warmChainHits = 0;
-    uint64_t warmResumeCycles = 0;
     uint64_t warmInserts = 0;
 };
 
@@ -741,9 +623,7 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
     // Bug-set axis: when the batch contains the empty bug set, its
     // block runs first as the per-trace donor; jobs in other blocks
     // whose bugs never triggered on the donor run reuse its result
-    // outright, and (with the stride tier active) triggered jobs
-    // resume from the donor's in-trace checkpoint chain with the bug
-    // mask re-armed.
+    // outright.
     size_t donor_set = nb;
     if (budget > 0 && nb > 1) {
         for (size_t b = 0; b < nb; ++b) {
@@ -759,53 +639,37 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
     if (donor_active)
         std::swap(set_order[0], set_order[donor_set]);
 
-    // The stride tier: periodic checkpoints along each donor run,
-    // consumed cross-bug-set. While active, non-donor blocks take no
-    // prefix chains of their own — a checkpoint valid below every
-    // trigger cycle of two bug sets serves both, so the donor chain
-    // subsumes them (jobs it cannot serve replay from reset).
-    const size_t stride = options_.checkpointStride;
-    const bool stride_active =
-        donor_active && stride > 0 && budget > 0;
-
     std::vector<SlotPlan> slots;
     std::vector<Job> jobs;
     jobs.reserve(nt * nb);
     for (size_t bi = 0; bi < nb; ++bi) {
         size_t b = set_order[bi];
-        const bool chain_this_block = !stride_active || bi == 0;
         std::vector<std::pair<size_t, int>> stack; // (depth, slot)
         size_t live_bytes = 0;
         for (size_t i = 0; i < nt; ++i) {
             Job job;
             job.trace = order[i];
             job.bugSet = b;
-            if (chain_this_block) {
-                size_t shared = (i == 0) ? 0 : lcp[i];
-                while (!stack.empty() &&
-                       stack.back().first > shared) {
-                    live_bytes -= est;
-                    stack.pop_back();
-                }
-                size_t start = 0;
-                if (!stack.empty()) {
-                    job.restoreSlot = stack.back().second;
-                    start = stack.back().first;
-                    ++slots[static_cast<size_t>(job.restoreSlot)]
-                          .consumers;
-                }
-                if (budget > 0 && i + 1 < nt) {
-                    size_t depth = lcp[i + 1];
-                    if (depth > start && depth >= min_prefix &&
-                        live_bytes + est <= budget) {
-                        job.publishSlot =
-                            static_cast<int>(slots.size());
-                        job.publishDepth = depth;
-                        slots.push_back(
-                            SlotPlan{job.trace, depth, 0});
-                        stack.emplace_back(depth, job.publishSlot);
-                        live_bytes += est;
-                    }
+            size_t shared = (i == 0) ? 0 : lcp[i];
+            while (!stack.empty() && stack.back().first > shared) {
+                live_bytes -= est;
+                stack.pop_back();
+            }
+            size_t start = 0;
+            if (!stack.empty()) {
+                job.restoreSlot = stack.back().second;
+                start = stack.back().first;
+                ++slots[static_cast<size_t>(job.restoreSlot)].consumers;
+            }
+            if (budget > 0 && i + 1 < nt) {
+                size_t depth = lcp[i + 1];
+                if (depth > start && depth >= min_prefix &&
+                    live_bytes + est <= budget) {
+                    job.publishSlot = static_cast<int>(slots.size());
+                    job.publishDepth = depth;
+                    slots.push_back(SlotPlan{job.trace, depth, 0});
+                    stack.emplace_back(depth, job.publishSlot);
+                    live_bytes += est;
                 }
             }
             jobs.push_back(job);
@@ -817,14 +681,10 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
     // producer is always claimed before any of its consumers: every
     // wait in CheckpointCache::consume is on a job that is already
     // running (or done), and every running job publishes or abandons
-    // its slot — no deadlock, any worker count. Stride chains are
-    // read only after DonorTable::wait returns, which orders them
-    // after the donor's last add.
+    // its slot — no deadlock, any worker count.
     // ------------------------------------------------------------------
     CheckpointCache cache(slots, budget);
     DonorTable donors(donor_active ? nt : 0);
-    StrideChains chains(stride_active ? nt : 0,
-                        static_cast<unsigned>(nb - 1));
     std::atomic<size_t> next_job{0};
     std::vector<std::atomic<size_t>> first_div(nb);
     for (auto &fd : first_div)
@@ -842,11 +702,13 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
         const vecgen::TestTrace &trace = traces[job.trace];
         const size_t len = trace.cycles.size();
         const bool is_donor = donor_active && job.bugSet == donor_set;
-        // Every non-donor job holds one claim on its trace's stride
-        // chain; dropping the last claim frees the chain.
-        auto release_chain = [&] {
-            if (stride_active && !is_donor)
-                cache.dropChain(chains.release(job.trace));
+        // Drop this job's slot claims so planned waiters resolve
+        // (they fall back to from-reset replay).
+        auto release_slots = [&] {
+            if (job.restoreSlot >= 0)
+                cache.release(static_cast<size_t>(job.restoreSlot));
+            if (job.publishSlot >= 0)
+                cache.abandon(static_cast<size_t>(job.publishSlot));
         };
 
         const bool past_divergence =
@@ -858,62 +720,71 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
             options_.cancelFlag->load(std::memory_order_relaxed);
         if (past_divergence || cancelled) {
             // A trace earlier in the batch already diverged under
-            // this bug set (or the batch was cancelled); drop our
-            // claims so waiters resolve.
-            if (job.restoreSlot >= 0)
-                cache.release(static_cast<size_t>(job.restoreSlot));
-            if (job.publishSlot >= 0)
-                cache.abandon(static_cast<size_t>(job.publishSlot));
+            // this bug set (or the batch was cancelled).
+            release_slots();
             if (is_donor)
                 donors.fail(job.trace);
-            release_chain();
             results[job.bugSet * nt + job.trace].skipped = true;
             if (cancelled)
                 ++ls.cancelled;
             return;
         }
 
-        // Fourth sharing axis: a warm entry deposited by an earlier
-        // batch's bug-free run over a content-identical trace. It
-        // plays the donor-block role without the wait — copy the
-        // donor result outright when none of this job's bugs ever
-        // triggered, otherwise resume from the warm checkpoint chain
-        // below the first trigger (selected further down).
+        // The job's donor record: a warm entry deposited by an
+        // earlier batch's bug-free run over a content-identical trace
+        // (no wait), or this batch's donor block. Both hinge on the
+        // same guarantee — fault effects are strictly trigger-guarded
+        // and trigger cycles are recorded on the bug-free run — so
+        // the donor's trajectory *is* the bugged trajectory below the
+        // first trigger. A job none of whose bugs ever triggered
+        // copies the donor result outright; a triggered one replays,
+        // resuming from the warm chain below the first trigger when
+        // it has one (selected further down).
         const ReplayWarmCache::Entry *warm_entry_hit =
             warm ? warm_entries[job.trace].get() : nullptr;
-        uint64_t warm_first = UINT64_MAX;
+        const PlayResult *donor_result = nullptr;
+        const std::array<uint64_t, rtl::numBugs> *donor_triggers =
+            nullptr;
         if (warm_entry_hit) {
-            uint64_t first = UINT64_MAX;
+            donor_result = &warm_entry_hit->donorResult;
+            donor_triggers = &warm_entry_hit->triggers;
+        } else if (donor_active && !is_donor) {
+            if (const DonorTable::Record *record =
+                    donors.wait(job.trace)) {
+                donor_result = &record->result;
+                donor_triggers = &record->triggers;
+            }
+        }
+        uint64_t first_trigger = UINT64_MAX;
+        if (donor_result) {
             for (size_t i = 0; i < rtl::numBugs; ++i) {
                 if (bug_sets[job.bugSet].test(i))
-                    first = std::min(first, warm_entry_hit->triggers[i]);
+                    first_trigger =
+                        std::min(first_trigger, (*donor_triggers)[i]);
             }
-            if (first == UINT64_MAX) {
-                ++ls.warmCopies;
+            if (first_trigger == UINT64_MAX) {
+                ++(warm_entry_hit ? ls.warmCopies : ls.copies);
                 ls.batchCycles += len;
-                ls.cyclesAvoided += warm_entry_hit->donorResult.cycles;
-                results[job.bugSet * nt + job.trace] =
-                    warm_entry_hit->donorResult;
+                ls.cyclesAvoided += donor_result->cycles;
+                results[job.bugSet * nt + job.trace] = *donor_result;
+                // A warm donor-block job still feeds this batch's
+                // consumers.
                 if (is_donor)
-                    donors.publish(job.trace,
-                                   warm_entry_hit->donorResult,
-                                   warm_entry_hit->triggers);
-                if (job.restoreSlot >= 0)
-                    cache.release(
-                        static_cast<size_t>(job.restoreSlot));
-                if (job.publishSlot >= 0)
-                    cache.abandon(
-                        static_cast<size_t>(job.publishSlot));
-                release_chain();
-                if (warm_entry_hit->donorResult.diverged &&
+                    donors.publish(job.trace, *donor_result,
+                                   *donor_triggers);
+                release_slots();
+                if (donor_result->diverged &&
                     options_.stopOnDivergence)
                     fetchMin(first_div[job.bugSet], job.trace);
                 return;
             }
-            warm_first = first;
             ++ls.triggeredJobs;
             ls.triggeredJobCycles += len;
-            ls.triggeredLeadCycles += std::min<uint64_t>(first, len);
+            // The avoidable pool: the bug-free lead up to the first
+            // trigger (a trigger can fire during drain, so cap at the
+            // forced-cycle length).
+            ls.triggeredLeadCycles +=
+                std::min<uint64_t>(first_trigger, len);
         }
 
         // Bug-free jobs of a warm-enabled batch deposit the entry
@@ -926,55 +797,6 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
         std::shared_ptr<ReplayWarmCache::Entry> warm_entry;
         if (populate)
             warm_entry = std::make_shared<ReplayWarmCache::Entry>();
-
-        // The cross-bug-set axes: wholesale donor-result reuse for
-        // never-triggered jobs, donor-chain resume for triggered
-        // ones. Both hinge on the same guarantee — fault effects are
-        // strictly trigger-guarded and trigger cycles are recorded
-        // on the bug-free run — so the donor's trajectory *is* the
-        // bugged trajectory below the first trigger.
-        int64_t stride_entry = -1;
-        if (!warm_entry_hit && donor_active && !is_donor) {
-            PlayResult donor_result;
-            std::array<uint64_t, rtl::numBugs> triggers{};
-            if (donors.wait(job.trace, donor_result, triggers)) {
-                uint64_t first = UINT64_MAX;
-                for (size_t i = 0; i < rtl::numBugs; ++i) {
-                    if (bug_sets[job.bugSet].test(i))
-                        first = std::min(first, triggers[i]);
-                }
-                if (first == UINT64_MAX) {
-                    ++ls.copies;
-                    ls.batchCycles += len;
-                    ls.cyclesAvoided += donor_result.cycles;
-                    results[job.bugSet * nt + job.trace] =
-                        donor_result;
-                    // Drop this job's slot claims so planned waiters
-                    // in the same block resolve (they fall back to
-                    // from-reset replay if they cannot copy too).
-                    if (job.restoreSlot >= 0)
-                        cache.release(
-                            static_cast<size_t>(job.restoreSlot));
-                    if (job.publishSlot >= 0)
-                        cache.abandon(
-                            static_cast<size_t>(job.publishSlot));
-                    release_chain();
-                    if (donor_result.diverged &&
-                        options_.stopOnDivergence)
-                        fetchMin(first_div[job.bugSet], job.trace);
-                    return;
-                }
-                ++ls.triggeredJobs;
-                ls.triggeredJobCycles += len;
-                // The avoidable pool: the bug-free lead up to the
-                // first trigger (a trigger can fire during drain, so
-                // cap at the forced-cycle length).
-                ls.triggeredLeadCycles +=
-                    std::min<uint64_t>(first, len);
-                if (stride_active)
-                    stride_entry = chains.find(job.trace, first);
-            }
-        }
 
         rtl::PpCore core(config_, rtl::CoreMode::Vector);
         VectorPlayer::primeCore(core, trace, bug_sets[job.bugSet]);
@@ -993,7 +815,7 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
             const ReplayWarmCache::ChainLink *link = nullptr;
             const auto &chain = warm_entry_hit->chain;
             for (size_t i = chain.size(); i-- > 0;) {
-                if (chain[i].cycle < warm_first &&
+                if (chain[i].cycle < first_trigger &&
                     chain[i].cycle <= len &&
                     (job.publishSlot < 0 ||
                      chain[i].cycle < job.publishDepth)) {
@@ -1009,8 +831,8 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
                 if (snap.valid() && snap.cycles() <= len) {
                     core.restoreWithBugs(snap, bug_sets[job.bugSet]);
                     start = snap.cycles();
-                    ++ls.warmChainHits;
-                    ls.warmResumeCycles += start;
+                    ++ls.strideHits;
+                    ls.strideResumeCycles += start;
                     ls.cyclesAvoided += start;
                 } else {
                     ++ls.misses;
@@ -1021,24 +843,6 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
             // The warm resume superseded the planned restore; drop
             // the claim so the slot can be freed.
             cache.release(static_cast<size_t>(job.restoreSlot));
-        } else if (stride_entry >= 0) {
-            // In-trace donor checkpoint: same trace, so the stimulus
-            // is identical by construction and no prefix
-            // verification is needed; validity below the first
-            // trigger was checked when the entry was chosen. The
-            // restore re-arms this job's bug mask (the one field of
-            // the donor state that legitimately differs).
-            rtl::PpCore::Snapshot snap =
-                cache.fetchStride(static_cast<size_t>(stride_entry));
-            if (!snap.valid() || snap.cycles() > len) {
-                ++ls.misses;
-            } else {
-                core.restoreWithBugs(snap, bug_sets[job.bugSet]);
-                start = snap.cycles();
-                ++ls.strideHits;
-                ls.strideResumeCycles += start;
-                ls.cyclesAvoided += start;
-            }
         } else if (job.restoreSlot >= 0) {
             rtl::PpCore::Snapshot snap =
                 cache.consume(static_cast<size_t>(job.restoreSlot));
@@ -1088,19 +892,10 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
         resume_depth.record(double(start));
 
         // Drive to the end of the trace, pausing at this job's
-        // planned publish depth and (donor runs) at every stride
-        // boundary to snapshot. The donor publishes its chain links
-        // before DonorTable::publish, so consumers always see a
-        // complete chain.
-        const size_t my_stride =
-            (stride_active && is_donor) ? stride : 0;
-        // Populating runs pause at stride boundaries even when the
-        // in-batch tier is off (single-bug-set warm-up batches have
-        // no in-batch consumers) — one snapshot per boundary serves
-        // both the in-batch chain and the warm entry.
+        // planned publish depth and (warm-populating runs) at every
+        // link-stride boundary to snapshot.
         const size_t snap_stride =
-            my_stride ? my_stride
-                      : (populate && stride > 0 ? stride : 0);
+            populate ? options_.checkpointStride : 0;
         uint64_t stepped_from = core.cycles();
         size_t pos = start;
         size_t next_stride =
@@ -1113,11 +908,10 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
         // geometrically spaced resume points instead of none.
         size_t warm_link_stride = snap_stride;
         size_t warm_chain_bytes = 0;
-        auto warm_add_link = [&](size_t cycle,
-                                 const rtl::PpCore::Snapshot &snap) {
+        auto warm_add_link = [&](size_t cycle) {
             if (cycle % warm_link_stride != 0)
                 return;
-            std::vector<uint8_t> bytes = snap.serialize();
+            std::vector<uint8_t> bytes = core.snapshot().serialize();
             const size_t cap = warm->chainBytesCap();
             const size_t cost = sizeof(ReplayWarmCache::ChainLink) +
                                 bytes.size();
@@ -1155,14 +949,8 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
                 cache.publish(static_cast<size_t>(job.publishSlot),
                               core.snapshot());
             if (snap_stride && pos == next_stride) {
-                if (pos < len) {
-                    rtl::PpCore::Snapshot snap = core.snapshot();
-                    if (populate)
-                        warm_add_link(pos, snap);
-                    if (my_stride)
-                        chains.add(job.trace, pos,
-                                   cache.addStride(std::move(snap)));
-                }
+                if (pos < len)
+                    warm_add_link(pos);
                 next_stride += snap_stride;
             }
         }
@@ -1195,7 +983,6 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
                 ++ls.warmInserts;
             }
         }
-        release_chain();
 
         if (result.diverged && options_.stopOnDivergence)
             fetchMin(first_div[job.bugSet], job.trace);
@@ -1264,12 +1051,9 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
         stats_.triggeredLeadCycles += ls.triggeredLeadCycles;
         stats_.jobsSkipped += ls.cancelled;
         stats_.warmCopies += ls.warmCopies;
-        stats_.warmChainHits += ls.warmChainHits;
-        stats_.warmResumeCycles += ls.warmResumeCycles;
         stats_.warmInserts += ls.warmInserts;
     }
     stats_.checkpointsPublished = cache.published();
-    stats_.strideCheckpoints = cache.strideCheckpoints();
     stats_.cacheEvictions = cache.evictions();
     stats_.peakCacheBytes = cache.peakBytes();
 
@@ -1297,8 +1081,6 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
         telemetry::counter("replay.warm_hits").add(stats_.warmHits);
         telemetry::counter("replay.warm_copies")
             .add(stats_.warmCopies);
-        telemetry::counter("replay.warm_chain_hits")
-            .add(stats_.warmChainHits);
         telemetry::counter("replay.warm_inserts")
             .add(stats_.warmInserts);
     }

@@ -41,28 +41,21 @@
  * entirely. Since the Table 2.1 faults are rare multi-event
  * conjunctions, most bugged replays collapse to copies.
  *
- * The third axis is the tiered in-trace checkpoint scheme, which
- * covers the jobs the first two cannot: (trace, B) jobs whose bugs
- * *did* trigger on the donor run.
+ * Jobs whose bugs *did* trigger on the donor run replay — from a
+ * prefix checkpoint of their own block, or, when the trace is warm
+ * (see ReplayWarmCache), from the donor's periodic checkpoint chain
+ * below the first trigger cycle. That restore is sound across bug
+ * sets: a donor checkpoint whose cycle lies strictly below every
+ * first-trigger cycle of a bug set is bit-identical to the state
+ * that bugged run would have reached (fault effects are
+ * trigger-guarded; trigger cycles are recorded regardless of
+ * enablement), except for the enabled-bug mask itself, which the
+ * restore re-arms (PpCore::restoreWithBugs).
  *
- *  - Periodic donor checkpoints: the donor run snapshots the core
- *    every ReplayOptions::checkpointStride cycles. A triggered job
- *    resumes from the greatest donor checkpoint strictly below its
- *    first trigger cycle instead of replaying from reset.
- *  - Cross-bug-set restore: a checkpoint whose cycle lies strictly
- *    below every first-trigger cycle of a bug set is bit-identical
- *    to the state that bugged run would have reached (fault effects
- *    are trigger-guarded; trigger cycles are recorded regardless of
- *    enablement), except for the enabled-bug mask itself — so the
- *    restore re-arms the mask (PpCore::restoreWithBugs) and
- *    non-donor blocks consume the donor block's chain instead of
- *    maintaining chains of their own.
- *
- * Every checkpoint lives in memory under one LRU byte budget
+ * Prefix checkpoints live in memory under one LRU byte budget
  * (ReplayOptions::checkpointBudgetBytes). A checkpoint that is
  * evicted, or too big for the budget, is dropped: its consumers fall
- * back to an earlier checkpoint or to from-reset replay, which costs
- * cycles, never correctness.
+ * back to from-reset replay, which costs cycles, never correctness.
  */
 
 #ifndef ARCHVAL_HARNESS_REPLAY_ENGINE_HH
@@ -83,7 +76,7 @@ namespace archval::harness
 {
 
 /**
- * Cross-batch warm cache — the fourth sharing axis, across playAll()
+ * Cross-batch warm cache — the third sharing axis, across playAll()
  * calls (and across engines: the cache is shared by handle, so a
  * service session or a hunt loop keeps it alive between requests).
  *
@@ -91,7 +84,10 @@ namespace archval::harness
  * *entire serialized content* (vecgen::serializeTrace — exact-match
  * lookup, so a foreign trace can never borrow a warm result): the
  * donor PlayResult, the first-trigger cycle of every bug, and the
- * donor's periodic checkpoint chain as serialized core snapshots. A
+ * donor's periodic checkpoint chain (one link every
+ * ReplayOptions::checkpointStride cycles) as serialized core
+ * snapshots. These chains are the engine's only periodic
+ * checkpoints: a batch without a warm cache keeps none. A
  * later batch containing the same trace then reuses the warm entry
  * exactly like an in-batch donor block:
  *
@@ -99,8 +95,8 @@ namespace archval::harness
  *    donor result outright (zero cycles simulated);
  *  - a job whose bugs did trigger resumes from the greatest warm
  *    checkpoint strictly below its first trigger cycle, with the bug
- *    mask re-armed on restore (PpCore::restoreWithBugs) — the same
- *    validity rule as the in-batch stride tier.
+ *    mask re-armed on restore (PpCore::restoreWithBugs) — the
+ *    cross-bug-set validity rule in the file comment.
  *
  * Snapshot records are config-fingerprinted; a record that fails to
  * deserialize degrades that job to from-reset replay, never to wrong
@@ -220,15 +216,12 @@ struct ReplayOptions
     size_t minPrefixCycles = 16;
 
     /**
-     * Cycle stride of the periodic in-trace donor checkpoints
-     * (0 disables the tier). Only meaningful when the batch has a
-     * bug-free donor block: the donor run publishes a snapshot every
-     * stride cycles, and a (trace, bug) job whose bugs triggered on
-     * the donor run resumes from the greatest checkpoint strictly
-     * below its first trigger cycle, with the bug mask re-armed at
-     * restore. While the tier is active, non-donor blocks consume
-     * the donor chain instead of maintaining their own prefix
-     * chains.
+     * Cycle stride of the warm cache's chain links (0 = no links).
+     * Only meaningful with a warmCache: a run that populates it
+     * snapshots the core every stride cycles, and a later (trace,
+     * bug) job whose bugs triggered on that run resumes from the
+     * greatest link strictly below its first trigger cycle, with the
+     * bug mask re-armed at restore.
      */
     size_t checkpointStride = 1024;
 
@@ -277,19 +270,20 @@ struct ReplayStats
     uint64_t cacheEvictions = 0;
     size_t peakCacheBytes = 0;
 
-    /** @name Tiered in-trace checkpointing @{ */
-    uint64_t strideCheckpoints = 0; ///< periodic donor checkpoints
-    uint64_t strideHits = 0;        ///< triggered jobs resumed from one
+    /** @name Re-reaching a bug @{ */
+    /** Triggered jobs resumed from a stride-spaced donor checkpoint
+     *  (a warm chain link). */
+    uint64_t strideHits = 0;
     uint64_t strideResumeCycles = 0; ///< cycles skipped by those resumes
     /** Non-donor jobs whose bug set triggered on the donor run (the
-     *  jobs only the stride tier can accelerate). */
+     *  jobs donor copies cannot serve). */
     uint64_t triggeredJobs = 0;
     uint64_t triggeredJobCycles = 0; ///< forced cycles those jobs demand
     /** Cycles standing between reset and the bug set's first trigger,
      *  summed over triggered jobs (capped at the trace length). This
-     *  is the pool the stride tier can address: everything past the
-     *  trigger is the diverged run itself and must be re-stepped by
-     *  any scheme. */
+     *  is the pool a donor checkpoint can address: everything past
+     *  the trigger is the diverged run itself and must be re-stepped
+     *  by any scheme. */
     uint64_t triggeredLeadCycles = 0;
     /** @} */
 
@@ -299,9 +293,7 @@ struct ReplayStats
     /** Jobs whose whole result was copied from a warm donor entry
      *  (zero cycles simulated). */
     uint64_t warmCopies = 0;
-    uint64_t warmChainHits = 0;     ///< jobs resumed from a warm link
-    uint64_t warmResumeCycles = 0;  ///< cycles those resumes skipped
-    uint64_t warmInserts = 0;       ///< donor entries published
+    uint64_t warmInserts = 0; ///< donor entries published
     /** @} */
 
     /** @return fraction of planned restores that hit the cache. */
@@ -320,8 +312,8 @@ struct ReplayStats
     }
 
     /** @return fraction of the triggered jobs' reset-to-trigger lead
-     *  cycles skipped by resuming from in-trace donor checkpoints
-     *  (the bench gate metric). The lead is the avoidable pool — a
+     *  cycles skipped by resuming from warm chain links (the bench
+     *  gate metric). The lead is the avoidable pool — a
      *  checkpoint substitutes for re-stepping the bug-free prefix,
      *  never for the diverged suffix — so this is avoided/avoidable,
      *  the Table 3.3 "time to re-reach a bug" ratio. */

@@ -217,7 +217,10 @@ struct ByteReader
             ok = false;
             return false;
         }
-        std::memcpy(out, data + pos, n);
+        // An empty field's destination may be null, which memcpy
+        // may not be passed even for zero bytes.
+        if (n != 0)
+            std::memcpy(out, data + pos, n);
         pos += n;
         return true;
     }

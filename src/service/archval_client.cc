@@ -36,6 +36,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "service/job_manager.hh"
 #include "service/protocol.hh"
 #include "support/json.hh"
 
@@ -100,18 +101,24 @@ help(const char *argv0)
         "job options:\n"
         "  --bugs a,b,...       inject bugs (bug1..bug6 or 0-based "
         "indices)\n"
-        "  --threads N          replay/fuzz workers\n"
-        "  --stride N           replay checkpoint stride\n"
+        "  --threads N          replay/fuzz workers (at most %u; "
+        "more is a bad request)\n"
+        "  --stride N           replay warm-chain link stride "
+        "(cycles between the\n"
+        "                       checkpoints a warm repeat resumes "
+        "from)\n"
         "  --budget N           bughunt random budget "
         "(instructions)\n"
-        "  --rounds N           fuzz campaign rounds\n"
+        "  --rounds N           fuzz campaign rounds (at most %u; "
+        "more is a bad request)\n"
         "  --round-instructions N  fuzz instructions per round\n"
         "  --seed N             fuzz/bughunt seed\n"
         "  --job N              target job id for status/cancel\n"
         "\n"
         "exit codes: 0 clean, 1 usage/transport, 2 bug detected, "
         "3 job error, 4 cancelled\n",
-        argv0);
+        argv0, archval::service::JobRequest::kMaxThreads,
+        archval::service::JobRequest::kMaxRounds);
 }
 
 int

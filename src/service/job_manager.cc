@@ -1,6 +1,7 @@
 #include "job_manager.hh"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "fuzz/campaign.hh"
 #include "harness/bug_hunt.hh"
@@ -117,11 +118,13 @@ namespace
  * field must be a JSON integer — a double or string answers the
  * request with a `bad request` error instead of silently running
  * with the default value (the same posture as DesignSpec::fromJson).
- * The parsed value is clamped to at least @p min_value.
+ * The parsed value is clamped to at least @p min_value; a value above
+ * @p max_value is a `bad request` too.
  */
 bool
 readJobCount(const json::Value &message, const char *field,
-             int64_t min_value, int64_t &out, std::string &error)
+             int64_t min_value, int64_t max_value, int64_t &out,
+             std::string &error)
 {
     if (!message.has(field))
         return true;
@@ -129,6 +132,12 @@ readJobCount(const json::Value &message, const char *field,
     if (!value.isInt()) {
         error = formatString(
             "bad request: field '%s' must be an integer", field);
+        return false;
+    }
+    if (value.asInt() > max_value) {
+        error = formatString(
+            "bad request: field '%s' must be at most %lld", field,
+            static_cast<long long>(max_value));
         return false;
     }
     out = std::max<int64_t>(min_value, value.asInt());
@@ -166,13 +175,16 @@ JobRequest::fromJson(const json::Value &message)
         static_cast<int64_t>(request.roundInstructions);
     int64_t rounds = request.maxRounds;
     int64_t seed = static_cast<int64_t>(request.seed);
-    if (!readJobCount(message, "threads", 1, threads, error) ||
-        !readJobCount(message, "stride", 0, stride, error) ||
-        !readJobCount(message, "budget", 0, budget, error) ||
-        !readJobCount(message, "roundInstructions", 1,
+    constexpr int64_t kNoCap = INT64_MAX;
+    if (!readJobCount(message, "threads", 1, kMaxThreads, threads,
+                      error) ||
+        !readJobCount(message, "stride", 0, kNoCap, stride, error) ||
+        !readJobCount(message, "budget", 0, kNoCap, budget, error) ||
+        !readJobCount(message, "roundInstructions", 1, kNoCap,
                       round_instructions, error) ||
-        !readJobCount(message, "rounds", 1, rounds, error) ||
-        !readJobCount(message, "seed", 0, seed, error)) {
+        !readJobCount(message, "rounds", 1, kMaxRounds, rounds,
+                      error) ||
+        !readJobCount(message, "seed", 0, kNoCap, seed, error)) {
         return Result<JobRequest>::error(error);
     }
     request.threads = static_cast<unsigned>(threads);
@@ -647,9 +659,9 @@ JobManager::execute(Job &job)
             warm.set("copies",
                      static_cast<int64_t>(stats.warmCopies));
             warm.set("chainHits",
-                     static_cast<int64_t>(stats.warmChainHits));
+                     static_cast<int64_t>(stats.strideHits));
             warm.set("resumeCycles",
-                     static_cast<int64_t>(stats.warmResumeCycles));
+                     static_cast<int64_t>(stats.strideResumeCycles));
             warm.set("inserts",
                      static_cast<int64_t>(stats.warmInserts));
             result.set("warm", std::move(warm));

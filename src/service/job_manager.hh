@@ -63,15 +63,22 @@ struct JobRequest
     DesignSpec design;
     rtl::BugSet bugs;
 
+    /** Largest accepted `threads`: one job never starts more
+     *  workers than this. */
+    static constexpr unsigned kMaxThreads = 64;
+    /** Largest accepted `rounds` (fuzz campaign length). */
+    static constexpr unsigned kMaxRounds = 100'000;
+
     unsigned threads = 2;        ///< replay / campaign workers
-    size_t checkpointStride = 128; ///< replay warm-chain granularity
+    size_t checkpointStride = 128; ///< replay warm-chain link stride
     uint64_t randomBudget = 30'000; ///< bughunt random-arm budget
     uint64_t roundInstructions = 10'000; ///< fuzz, per worker/round
     unsigned maxRounds = 4;      ///< fuzz campaign length
     uint64_t seed = 1;           ///< bughunt / fuzz seed
 
     /** Parse a request message. @return the request or an error
-     *  (unknown verb, malformed bug list). */
+     *  (unknown verb, malformed bug list, a wrong-typed field, or
+     *  `threads` / `rounds` above their caps). */
     static Result<JobRequest> fromJson(const json::Value &message);
 };
 

@@ -2,7 +2,7 @@
  * @file
  * Tiered in-trace checkpointing tests (ctest label `checkpoint`).
  *
- * The stride tier rides on three claims, each attacked here:
+ * Checkpointed replay rides on three claims, each attacked here:
  *
  *  1. Snapshot serialization is lossless: a snapshot that round-trips
  *     through bytes resumes to a bit-identical outcome, and damaged
@@ -12,10 +12,11 @@
  *     restoring a donor snapshot with the bug mask re-armed
  *     (PpCore::restoreWithBugs) reproduces the bugged run exactly.
  *  3. The engine's results are byte-identical to the sequential
- *     VectorPlayer for every (stride × cache budget × worker count)
+ *     VectorPlayer for every (cache budget × worker count)
  *     combination — including budgets so small that checkpoints are
  *     evicted and dropped, which may cost cycles but never
- *     correctness.
+ *     correctness — and for cold and warm runs through a warm cache
+ *     at any chain-link stride.
  *
  * The suite exercises the worker pool, so it is part of the
  * ARCHVAL_SANITIZE=thread build (see README).
@@ -322,9 +323,48 @@ TEST_F(CheckpointFixture, BugRearmRoundTripFuzz)
 
 TEST_F(CheckpointFixture, EngineMatchesSequentialAcrossTierSweep)
 {
-    // The acceptance sweep: stride × memory budget × worker count,
-    // all six Table 2.1 bug sets plus the bug-free donor. The tiny
-    // budget forces evictions, and an evicted checkpoint is dropped.
+    // The acceptance sweep: memory budget × worker count, all six
+    // Table 2.1 bug sets plus the bug-free donor. The batch joins a
+    // nested-prefix batch (consecutive traces share their whole stem,
+    // so each block simulates the stem once) with the fixture's
+    // plain batch, whose reset-rooted walks branch after a few
+    // cycles; a one-cycle minimum prefix checkpoints those branch
+    // points, so several checkpoints are live at once.
+    graph::TourOptions tour_options;
+    tour_options.maxInstructionsPerTrace = 4'000;
+    tour_options.nestedPrefixSplits = true;
+    graph::TourGenerator tour_gen(*graph_, tour_options);
+    std::vector<vecgen::TestTrace> batch =
+        vecgen::VectorGenerator(*model_, 42)
+            .generateAll(*graph_, tour_gen.run());
+    // Each nested trace re-walks every stem before it, so the batch
+    // grows quadratically; its first eight traces keep the sweep
+    // short and still chain seven stems.
+    ASSERT_GT(batch.size(), 8u);
+    batch.resize(8);
+    const size_t nested = batch.size();
+    batch.insert(batch.end(), traces_->begin(), traces_->end());
+
+    // Sequential ground truth: the nested part is played here, the
+    // plain part comes from the fixture's matrix.
+    VectorPlayer player(*config_);
+    std::vector<PlayResult> expected;
+    for (size_t b = 0; b < bug_sets_->size(); ++b) {
+        for (size_t t = 0; t < nested; ++t)
+            expected.push_back(player.play(batch[t], (*bug_sets_)[b]));
+        const auto plain = expected_->begin() +
+                           static_cast<long>(b * traces_->size());
+        expected.insert(expected.end(), plain,
+                        plain + static_cast<long>(traces_->size()));
+    }
+
+    // The plan budgets every checkpoint at the reset-state snapshot
+    // size. Mid-trace snapshots also carry the trace's stream and
+    // outgrow that estimate, so under the tight budget the plan
+    // keeps more checkpoints live than fit and the cache evicts; the
+    // tiny budget is below every mid-trace snapshot, so each one is
+    // dropped on publish. Either way consumers replay from reset —
+    // cycles, never correctness.
     const size_t one = snapshotBytes();
     struct Tier
     {
@@ -333,62 +373,55 @@ TEST_F(CheckpointFixture, EngineMatchesSequentialAcrossTierSweep)
     };
     const Tier tiers[] = {
         {size_t{1} << 40, "mem-unbounded"},
+        {4 * one, "mem-tight+evict"},
         {2 * one, "mem-tiny+drop"},
     };
-    const size_t strides[] = {0, 64, 4096};
-    bool stride_hit_somewhere = false;
+    bool hit_somewhere = false;
     bool eviction_somewhere = false;
 
-    for (size_t stride : strides) {
-        for (const Tier &tier : tiers) {
-            for (unsigned nw : {1u, 2u, 8u}) {
-                ReplayOptions options;
-                options.numThreads = nw;
-                options.checkpointStride = stride;
-                options.checkpointBudgetBytes = tier.memory;
-                ReplayStats stats = expectMatrixIdentical(
-                    *config_, *traces_, *bug_sets_, *expected_,
-                    options,
-                    std::string(tier.name) + " stride=" +
-                        std::to_string(stride) +
-                        " workers=" + std::to_string(nw));
-                if (stride > 0) {
-                    EXPECT_GT(stats.strideCheckpoints, 0u)
-                        << tier.name << " stride=" << stride;
-                }
-                if (stats.strideHits > 0) {
-                    stride_hit_somewhere = true;
-                    EXPECT_GT(stats.strideResumeCycles, 0u);
-                    // Resumes land strictly below the first trigger,
-                    // so the skipped cycles fit inside the jobs'
-                    // reset-to-trigger leads.
-                    EXPECT_LE(stats.strideResumeCycles,
-                              stats.triggeredLeadCycles);
-                    EXPECT_LE(stats.triggeredLeadCycles,
-                              stats.triggeredJobCycles);
-                }
-                if (tier.memory < (size_t{1} << 30)) {
-                    if (stats.cacheEvictions > 0)
-                        eviction_somewhere = true;
-                } else {
-                    EXPECT_EQ(stats.cacheEvictions, 0u)
-                        << "stride=" << stride << " workers=" << nw;
-                }
+    for (const Tier &tier : tiers) {
+        for (unsigned nw : {1u, 2u, 8u}) {
+            ReplayOptions options;
+            options.numThreads = nw;
+            options.checkpointBudgetBytes = tier.memory;
+            options.minPrefixCycles = 1;
+            ReplayStats stats = expectMatrixIdentical(
+                *config_, batch, *bug_sets_, expected, options,
+                std::string(tier.name) +
+                    " workers=" + std::to_string(nw));
+            if (stats.checkpointHits > 0)
+                hit_somewhere = true;
+            if (tier.memory < (size_t{1} << 30)) {
+                if (stats.cacheEvictions > 0)
+                    eviction_somewhere = true;
+            } else {
+                EXPECT_EQ(stats.cacheEvictions, 0u)
+                    << "workers=" << nw;
             }
+            // Without a warm cache no stride-spaced checkpoint
+            // exists; triggered jobs still count their leads.
+            EXPECT_EQ(stats.strideHits, 0u) << tier.name;
+            EXPECT_GT(stats.triggeredJobs, 0u) << tier.name;
+            EXPECT_LE(stats.triggeredLeadCycles,
+                      stats.triggeredJobCycles);
         }
     }
     // The sweep must actually exercise what it validates: at least
-    // one configuration resumes a triggered job mid-trace, and at
-    // least one drops an evicted checkpoint and still matches.
-    EXPECT_TRUE(stride_hit_somewhere);
+    // one configuration resumes from a prefix checkpoint, and at
+    // least one evicts a checkpoint, drops it and still matches.
+    EXPECT_TRUE(hit_somewhere);
     EXPECT_TRUE(eviction_somewhere);
 }
 
 TEST_F(CheckpointFixture, RandomizedPropertyDifferential)
 {
     // Property test: random engine configurations and random bug-set
-    // subsets must always reproduce the sequential player. Seeded,
-    // so a failure is reproducible from the draw index.
+    // subsets must always reproduce the sequential player. On half
+    // the draws a fresh warm cache is installed and the batch is
+    // played twice — cold (populating the cache) and warm (copying
+    // donor results and resuming triggered jobs from chain links
+    // spaced by the drawn stride). Seeded, so a failure is
+    // reproducible from the draw index.
     Rng rng(0x7E57C0DE);
     const size_t one = snapshotBytes();
     size_t max_len = 0;
@@ -410,9 +443,12 @@ TEST_F(CheckpointFixture, RandomizedPropertyDifferential)
                 expected_->begin() +
                     static_cast<long>((b + 1) * traces_->size()));
         }
-        if (bug_sets.empty()) {
-            bug_sets.push_back((*bug_sets_)[0]);
-            expected.assign(expected_->begin(),
+        // Half the draws replay through a fresh warm cache; those
+        // always carry the bug-free set, whose runs populate it.
+        const bool warm = rng.chance(1, 2);
+        if (bug_sets.empty() || (warm && bug_sets.front().any())) {
+            bug_sets.insert(bug_sets.begin(), (*bug_sets_)[0]);
+            expected.insert(expected.begin(), expected_->begin(),
                             expected_->begin() +
                                 static_cast<long>(traces_->size()));
         }
@@ -423,11 +459,32 @@ TEST_F(CheckpointFixture, RandomizedPropertyDifferential)
         options.checkpointBudgetBytes =
             rng.chance(1, 4) ? 0 : rng.range(one, 64 * one);
         options.minPrefixCycles = rng.range(1, 64);
-        expectMatrixIdentical(
-            *config_, *traces_, bug_sets, expected, options,
+        const std::string what =
             "draw " + std::to_string(draw) + " workers=" +
-                std::to_string(options.numThreads) + " stride=" +
-                std::to_string(options.checkpointStride));
+            std::to_string(options.numThreads) + " stride=" +
+            std::to_string(options.checkpointStride);
+        if (warm) {
+            // Small enough that short strides thin chains and evict
+            // whole entries.
+            options.warmCache = std::make_shared<ReplayWarmCache>(
+                4096 * one, 64 * one);
+        }
+        ReplayStats cold = expectMatrixIdentical(
+            *config_, *traces_, bug_sets, expected, options,
+            what + (warm ? " cold" : ""));
+        if (warm) {
+            ReplayStats stats = expectMatrixIdentical(
+                *config_, *traces_, bug_sets, expected, options,
+                what + " warm");
+            // A zero budget disables the donor block, so a batch
+            // with bugged sets then has no run to populate from.
+            if (options.checkpointBudgetBytes > 0 ||
+                bug_sets.size() == 1) {
+                EXPECT_EQ(cold.warmInserts, traces_->size()) << what;
+                EXPECT_GT(stats.warmHits, 0u) << what;
+            }
+            EXPECT_LE(stats.warmHits, cold.warmInserts) << what;
+        }
     }
 }
 

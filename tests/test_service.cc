@@ -435,6 +435,32 @@ TEST(JobRequestParse, WrongTypedJobFieldsAreBadRequests)
     EXPECT_NE(nested.errorMessage().find("maxStates"),
               std::string::npos);
 
+    // Worker and round counts are capped, and a value that would not
+    // even fit the field (2^32 used to wrap to 0) is rejected rather
+    // than narrowed. Parsing only: no job ever starts with these.
+    for (const char *text :
+         {"{\"verb\": \"replay\", \"threads\": 4294967296}",
+          "{\"verb\": \"bughunt\", \"threads\": 100000}",
+          "{\"verb\": \"fuzz\", \"rounds\": 4294967296}",
+          "{\"verb\": \"fuzz\", \"rounds\": 1000000000}"}) {
+        Result<JobRequest> capped = parse(text);
+        ASSERT_FALSE(capped.ok()) << text;
+        EXPECT_NE(capped.errorMessage().find("bad request"),
+                  std::string::npos)
+            << capped.errorMessage();
+        EXPECT_NE(capped.errorMessage().find("at most"),
+                  std::string::npos)
+            << capped.errorMessage();
+    }
+    const std::string at_caps =
+        "{\"verb\": \"fuzz\", \"threads\": " +
+        std::to_string(JobRequest::kMaxThreads) +
+        ", \"rounds\": " + std::to_string(JobRequest::kMaxRounds) + "}";
+    Result<JobRequest> edge = parse(at_caps.c_str());
+    ASSERT_TRUE(edge.ok()) << edge.errorMessage();
+    EXPECT_EQ(edge.value().threads, JobRequest::kMaxThreads);
+    EXPECT_EQ(edge.value().maxRounds, JobRequest::kMaxRounds);
+
     Result<JobRequest> good =
         parse("{\"verb\": \"replay\", \"threads\": 4}");
     ASSERT_TRUE(good.ok()) << good.errorMessage();
@@ -465,11 +491,15 @@ expectSamePlay(const harness::PlayResult &x,
 
 TEST(WarmReplay, WarmRunIsByteIdenticalToColdAndSequential)
 {
-    DesignSpec spec; // small preset, service defaults
+    // Small preset with the Table 3.3 trace limit: the unlimited
+    // tour is one 310k-cycle trace whose chain the per-entry cap
+    // thins to 8k-cycle links, above every bug's first trigger.
+    DesignSpec spec;
+    spec.maxInstructionsPerTrace = 10'000;
     Session session(spec);
     ASSERT_EQ(session.ensure(Session::Stage::Vectors, nullptr), "");
     const auto &traces = session.vectors();
-    ASSERT_FALSE(traces.empty());
+    ASSERT_GT(traces.size(), 1u);
 
     rtl::BugSet bug;
     bug.set(static_cast<size_t>(rtl::BugId::Bug4FixupLost));
@@ -495,6 +525,11 @@ TEST(WarmReplay, WarmRunIsByteIdenticalToColdAndSequential)
     const harness::ReplayStats warm_stats = warmed.stats();
     EXPECT_EQ(warm_stats.warmHits, traces.size());
     EXPECT_GE(warm_stats.warmCopies, traces.size());
+    // Bug 4 triggers past the first 128-cycle link on some traces,
+    // so the warm repeat resumes triggered jobs from a chain link
+    // instead of from reset.
+    EXPECT_GT(warm_stats.strideHits, 0u);
+    EXPECT_GT(warm_stats.strideResumeCycles, 0u);
 
     ASSERT_EQ(cold_plays.size(), warm_plays.size());
     for (size_t i = 0; i < cold_plays.size(); ++i)

@@ -43,7 +43,6 @@ ID_KEYS = (
     "threads",
     "cache",
     "stride",
-    "budget_mb",
     "budget_kb",
     "processes",
     "bug",

@@ -54,9 +54,9 @@ main(int argc, char **argv)
     const uint64_t random_budget =
         4 * tour_gen.stats().totalInstructions;
 
-    // The tour and random arms replay through the checkpointed
-    // engine: all available cores, default cache budget. Results are
-    // byte-identical to the sequential player by contract.
+    // The tour and random arms replay through the batch replay
+    // engine on all available cores. Results are byte-identical to
+    // the sequential player by contract.
     harness::ReplayOptions replay;
     replay.numThreads =
         std::max(1u, std::thread::hardware_concurrency());

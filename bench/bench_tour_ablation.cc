@@ -10,9 +10,6 @@
  *  - Trace-limit sweep: the Table 3.3 trade-off between the longest
  *    single trace (time to re-reach a bug) and total overhead,
  *    across several per-trace instruction limits.
- *  - Replay ablation: plain limit cuts vs nested prefix splits under
- *    the checkpointed replay engine — nesting trades a larger
- *    nominal batch for heavy cross-trace sharing the engine removes.
  *
  * `--json <path>` additionally writes every measured row as JSON
  * (CI uses BENCH_tour_ablation.json; see tools/bench_diff.py).
@@ -23,7 +20,6 @@
 #include "bench_util.hh"
 #include "graph/postman.hh"
 #include "graph/tour.hh"
-#include "harness/replay_engine.hh"
 #include "murphi/enumerator.hh"
 #include "rtl/pp_fsm_model.hh"
 #include "support/strings.hh"
@@ -135,56 +131,6 @@ main(int argc, char **argv)
                 "tours\n(\"extremely helpful in reducing the time "
                 "needed to rerun a simulation to\nreach a bug\").\n");
 
-    // --- checkpointed replay ablation --------------------------------------
-    // How the split mode interacts with harness::ReplayEngine on the
-    // bug-free batch: plain cuts share almost nothing (restart paths
-    // route through a bushy BFS tree), nested prefix splits share
-    // their entire stems, which the checkpoint cache simulates once.
-    std::printf("\nreplay ablation (10k limit, bug-free batch, "
-                "checkpoint cache on/off):\n");
-    std::printf("%8s %16s %16s %16s %9s\n", "split", "batch cycles",
-                "sim (cache off)", "sim (cache on)", "avoided");
-    for (bool nested : {false, true}) {
-        graph::TourOptions options;
-        options.maxInstructionsPerTrace = 10'000;
-        options.nestedPrefixSplits = nested;
-        graph::TourGenerator generator(graph, options);
-        auto traces = generator.run();
-        vecgen::VectorGenerator vecgen_(model, 2024);
-        auto vectors = vecgen_.generateAll(graph, traces);
-
-        uint64_t sim[2] = {0, 0};
-        uint64_t batch = 0;
-        double avoided = 0.0;
-        for (bool cache : {false, true}) {
-            harness::ReplayOptions replay;
-            replay.checkpointBudgetBytes =
-                cache ? (256ull << 20) : 0;
-            harness::ReplayEngine engine(config, replay);
-            engine.playAll(vectors);
-            sim[cache] = engine.stats().simulatedCycles;
-            batch = engine.stats().batchCycles;
-            if (cache)
-                avoided = engine.stats().avoidedFraction();
-        }
-        std::printf("%8s %16s %16s %16s %8.1f%%\n",
-                    nested ? "nested" : "plain",
-                    withCommas(batch).c_str(),
-                    withCommas(sim[0]).c_str(),
-                    withCommas(sim[1]).c_str(), 100.0 * avoided);
-        json.beginRow();
-        json.add("section", "replay_ablation");
-        json.add("nested", nested);
-        json.add("batch_cycles", batch);
-        json.add("sim_cycles_cache_off", sim[0]);
-        json.add("sim_cycles_cache_on", sim[1]);
-        json.add("avoided_fraction", avoided);
-    }
-    std::printf("\nshape: nested splits inflate the nominal batch "
-                "(every trace re-walks its\nstem) but the engine "
-                "replays each stem once, so the marginal cost of a "
-                "split\nreturns to roughly one limit's worth of new "
-                "cycles per trace.\n");
     std::string path = bench::jsonPath(argc, argv);
     if (!json.write(path)) {
         std::fprintf(stderr, "failed to write %s\n", path.c_str());

@@ -118,7 +118,7 @@ CampaignRunner::run(const rtl::BugSet &bugs,
 
     // Replay arm: concretize every worker's pending seeds (a pure
     // function of the candidates) and batch-replay them through the
-    // checkpointed engine; the workers then consume the primed
+    // replay engine; the workers then consume the primed
     // results instead of re-simulating, bit-identically.
     {
         std::vector<vecgen::TestTrace> seed_traces;

@@ -229,55 +229,12 @@ TourGenerator::traverseBfs(StateId state, Trace &trace)
     return target;
 }
 
-namespace
-{
-
-/**
- * Split @p full into its nested prefixes, cut where the running
- * instruction count crosses each multiple of @p limit. The last
- * emitted trace is @p full itself, so coverage is preserved.
- */
-std::vector<Trace>
-splitNestedPrefixes(const StateGraph &graph, const Trace &full,
-                    uint64_t limit)
-{
-    std::vector<Trace> out;
-    Trace prefix;
-    uint64_t next_cut = limit;
-    for (size_t i = 0; i < full.edges.size(); ++i) {
-        EdgeId e = full.edges[i];
-        prefix.edges.push_back(e);
-        prefix.instructions += graph.edge(e).instrCount;
-        if (prefix.instructions >= next_cut &&
-            i + 1 < full.edges.size()) {
-            Trace cut = prefix;
-            cut.limitTerminated = true;
-            out.push_back(std::move(cut));
-            while (prefix.instructions >= next_cut)
-                next_cut += limit;
-        }
-    }
-    out.push_back(full);
-    return out;
-}
-
-} // namespace
-
 std::vector<Trace>
 TourGenerator::run()
 {
     telemetry::ScopedSpan span("graph.tour_run", "edges",
                                graph_.numEdges());
     CpuTimer timer;
-
-    const bool nested = options_.nestedPrefixSplits &&
-                        options_.maxInstructionsPerTrace != 0;
-    const uint64_t nested_limit = options_.maxInstructionsPerTrace;
-    if (nested) {
-        // Generate unlimited walks; the limit is applied afterwards
-        // as nested prefix cuts rather than in-walk terminations.
-        options_.maxInstructionsPerTrace = 0;
-    }
 
     covered_.assign(graph_.numEdges(), false);
     nextUncovered_.assign(graph_.numStates(), 0);
@@ -331,29 +288,6 @@ TourGenerator::run()
             // Cannot happen for graphs produced by enumeration from
             // reset; bail out rather than spin.
             panic("tour: uncovered edges unreachable from reset");
-        }
-    }
-
-    if (nested) {
-        options_.maxInstructionsPerTrace = nested_limit;
-        std::vector<Trace> split;
-        for (const Trace &full : traces) {
-            auto prefixes =
-                splitNestedPrefixes(graph_, full, nested_limit);
-            for (auto &p : prefixes)
-                split.push_back(std::move(p));
-        }
-        traces = std::move(split);
-        // The accumulated counters describe the un-split walks;
-        // recount over what is actually emitted.
-        stats_.totalEdgeTraversals = 0;
-        stats_.totalInstructions = 0;
-        stats_.tracesTerminatedByLimit = 0;
-        for (const auto &t : traces) {
-            stats_.totalEdgeTraversals += t.edges.size();
-            stats_.totalInstructions += t.instructions;
-            if (t.limitTerminated)
-                ++stats_.tracesTerminatedByLimit;
         }
     }
 

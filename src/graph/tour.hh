@@ -38,21 +38,6 @@ struct TourOptions
     /** Per-trace instruction limit; 0 disables (paper compares
      *  unlimited vs a 10,000-instruction limit). */
     uint64_t maxInstructionsPerTrace = 0;
-
-    /**
-     * With a nonzero limit, emit each generated trace's limit-spaced
-     * nested prefixes instead of cutting the walk: every emitted
-     * trace re-traverses the tour from reset and extends it by up to
-     * one limit's worth of new instructions, so consecutive traces
-     * share their entire stem. Under harness::ReplayEngine's
-     * checkpoint cache the batch then simulates each stem once (each
-     * trace resumes from its predecessor's snapshot) while any bug
-     * remains re-reachable from the nearest checkpoint within one
-     * limit. Total batch instructions grow roughly quadratically
-     * with the trace count — meant for checkpointed replay, not
-     * sequential simulation.
-     */
-    bool nestedPrefixSplits = false;
 };
 
 /** Statistics matching the paper's Table 3.3 rows. */

@@ -26,7 +26,7 @@ BugHunt::hunt(rtl::BugId bug, uint64_t random_budget, uint64_t seed)
     rtl::BugSet bugs;
     bugs.set(static_cast<size_t>(bug));
 
-    // Both trace arms replay through the checkpointed engine with
+    // Both trace arms replay through the batch replay engine with
     // early exit: results before and at the first divergence are
     // byte-identical to the sequential player, so the accumulation
     // below reproduces the old trace-at-a-time loop exactly.
@@ -42,8 +42,7 @@ BugHunt::hunt(rtl::BugId bug, uint64_t random_budget, uint64_t seed)
     // warm-copies, and triggered jobs resume from the cached chain
     // instead of replaying the bug-free lead from reset. The bugged block's
     // results — the ones read below — are byte-identical either way.
-    const bool warm_tour =
-        warmCache_ && replay.checkpointBudgetBytes > 0;
+    const bool warm_tour = warmCache_ != nullptr;
     {
         telemetry::ScopedSpan arm_span(
             "hunt.tour", "bug", static_cast<uint64_t>(bug));

@@ -19,193 +19,19 @@ namespace archval::harness
 namespace
 {
 
-/** One replay job: a (trace, bug set) pair plus its plan. */
+/** One replay job: a (trace, bug set) pair. */
 struct Job
 {
-    size_t trace = 0;        ///< index into the batch
-    size_t bugSet = 0;       ///< index into the bug-set list
-    int restoreSlot = -1;    ///< checkpoint to resume from
-    int publishSlot = -1;    ///< checkpoint this job must produce
-    size_t publishDepth = 0; ///< absolute cycle of the publish
-};
-
-/** Plan-time record of one checkpoint. */
-struct SlotPlan
-{
-    size_t donorTrace = 0;
-    size_t depth = 0;
-    unsigned consumers = 0;
-};
-
-/** @return length of the common forced-cycle prefix of two traces. */
-size_t
-commonPrefix(const std::vector<rtl::ForcedSignals> &a,
-             const std::vector<rtl::ForcedSignals> &b)
-{
-    size_t n = std::min(a.size(), b.size());
-    size_t i = 0;
-    while (i < n && a[i] == b[i])
-        ++i;
-    return i;
-}
-
-/**
- * Runtime checkpoint cache: the plan's prefix-tree snapshots, held
- * in memory under one byte budget.
- *
- * Each plan slot carries its exact consumer count; the last consumer
- * frees it. Eviction is LRU; an evicted slot is dropped, and its
- * consumers degrade to from-reset replay.
- *
- * One mutex guards everything — publishes and consumes are rare next
- * to the simulation they save.
- */
-class CheckpointCache
-{
-  public:
-    CheckpointCache(const std::vector<SlotPlan> &plans, size_t budget)
-        : slots_(plans.size()), budget_(budget)
-    {
-        for (size_t i = 0; i < plans.size(); ++i)
-            slots_[i].remaining = plans[i].consumers;
-    }
-
-    /** Store @p snap for plan slot @p slot (or drop it). */
-    void publish(size_t slot, rtl::PpCore::Snapshot snap)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        Slot &s = slots_[slot];
-        const size_t bytes = snap.bytes();
-        if (s.remaining == 0 || !makeRoom(bytes)) {
-            // No consumer left, or too big for the whole memory
-            // budget (mid-trace snapshots outgrow the reset-state
-            // estimate).
-            s.state = State::Dropped;
-        } else {
-            s.snap = std::move(snap);
-            s.state = State::Ready;
-            s.lastUse = ++useClock_;
-            bytes_ += bytes;
-            peakBytes_ = std::max(peakBytes_, bytes_);
-            ++published_;
-        }
-        cv_.notify_all();
-    }
-
-    /** The producer will never publish @p slot (job skipped). */
-    void abandon(size_t slot)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (slots_[slot].state == State::Pending)
-            slots_[slot].state = State::Dropped;
-        cv_.notify_all();
-    }
-
-    /**
-     * Block until plan slot @p slot resolves; @return its snapshot,
-     * or an invalid one when it was dropped or evicted. Decrements
-     * the planned-consumer count (the last consumer frees the
-     * entry).
-     */
-    rtl::PpCore::Snapshot consume(size_t slot)
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        Slot &s = slots_[slot];
-        cv_.wait(lock, [&] { return s.state != State::Pending; });
-        rtl::PpCore::Snapshot out = snapshotOf(s);
-        if (--s.remaining == 0)
-            freeSlot(s);
-        return out;
-    }
-
-    /** Drop a consumer claim without waiting (job skipped). */
-    void release(size_t slot)
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        Slot &s = slots_[slot];
-        if (--s.remaining == 0)
-            freeSlot(s);
-    }
-
-    uint64_t published() const { return published_; }
-    uint64_t evictions() const { return evictions_; }
-    size_t peakBytes() const { return peakBytes_; }
-
-  private:
-    enum class State
-    {
-        Pending, ///< producer has not resolved the entry yet
-        Ready,   ///< snapshot held in memory
-        Dropped, ///< gone; consumers degrade
-    };
-
-    struct Slot
-    {
-        State state = State::Pending;
-        rtl::PpCore::Snapshot snap;
-        unsigned remaining = 0;
-        uint64_t lastUse = 0;
-    };
-
-    /** Evict LRU entries until @p bytes fits the memory budget. */
-    bool makeRoom(size_t bytes)
-    {
-        if (bytes > budget_)
-            return false;
-        while (bytes_ + bytes > budget_) {
-            size_t victim = slots_.size();
-            for (size_t i = 0; i < slots_.size(); ++i) {
-                if (slots_[i].state != State::Ready)
-                    continue;
-                if (victim == slots_.size() ||
-                    slots_[i].lastUse < slots_[victim].lastUse)
-                    victim = i;
-            }
-            if (victim == slots_.size())
-                return bytes_ + bytes <= budget_;
-            freeSlot(slots_[victim]);
-            ++evictions_;
-        }
-        return true;
-    }
-
-    /** @return @p s's snapshot, or an invalid one when it is gone. */
-    rtl::PpCore::Snapshot snapshotOf(Slot &s)
-    {
-        if (s.state != State::Ready)
-            return rtl::PpCore::Snapshot();
-        s.lastUse = ++useClock_;
-        return s.snap;
-    }
-
-    /** Drop @p s, freeing its snapshot. */
-    void freeSlot(Slot &s)
-    {
-        if (s.state == State::Ready) {
-            bytes_ -= s.snap.bytes();
-            s.snap = rtl::PpCore::Snapshot();
-        }
-        s.state = State::Dropped;
-    }
-
-    std::mutex mutex_;
-    std::condition_variable cv_;
-    std::vector<Slot> slots_;
-    size_t budget_;
-    size_t bytes_ = 0;
-    size_t peakBytes_ = 0;
-    uint64_t useClock_ = 0;
-    uint64_t published_ = 0;
-    uint64_t evictions_ = 0;
+    size_t trace = 0;  ///< index into the batch
+    size_t bugSet = 0; ///< index into the bug-set list
 };
 
 /**
  * Bug-set-axis donor records: one per trace, filled by the empty
  * bug set's job. Consumers (jobs for the same trace under a non-empty
  * bug set) block until the donor resolves; donor jobs precede every
- * consumer in plan order and are claimed in order, so a waited-on
- * donor is always running or done — the same no-deadlock argument as
- * CheckpointCache.
+ * consumer in job order and are claimed in order, so a waited-on
+ * donor is always running or done — no deadlock for any worker count.
  */
 class DonorTable
 {
@@ -278,9 +104,6 @@ struct LocalStats
     uint64_t batchCycles = 0;
     uint64_t simulatedCycles = 0;
     uint64_t cyclesAvoided = 0;
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t fallbacks = 0;
     uint64_t copies = 0;
     uint64_t strideHits = 0;
     uint64_t strideResumeCycles = 0;
@@ -589,43 +412,12 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
         }
     }
 
-    // ------------------------------------------------------------------
-    // Plan: the batch's prefix tree. Sorting traces lexicographically
-    // by forced-cycle content makes every shared prefix a contiguous
-    // run, and the LCP chain between sorted neighbours is exactly a
-    // DFS of the prefix tree — a stack of live checkpoints mirrors
-    // the DFS path. Each job publishes at most one checkpoint: the
-    // deepest prefix it shares with its sorted successor.
-    // ------------------------------------------------------------------
-    std::vector<size_t> order(nt);
-    std::iota(order.begin(), order.end(), size_t{0});
-    std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-        const auto &ca = traces[a].cycles;
-        const auto &cb = traces[b].cycles;
-        if (ca != cb)
-            return std::lexicographical_compare(ca.begin(), ca.end(),
-                                                cb.begin(), cb.end());
-        return a < b;
-    });
-    std::vector<size_t> lcp(nt, 0);
-    for (size_t i = 1; i < nt; ++i)
-        lcp[i] = commonPrefix(traces[order[i - 1]].cycles,
-                              traces[order[i]].cycles);
-
-    // Plan-time byte accounting uses one footprint estimate for all
-    // checkpoints (dmem dominates and is config-fixed), keeping the
-    // plan a pure function of the batch.
-    const size_t est =
-        rtl::PpCore(config_, rtl::CoreMode::Vector).snapshotBytes();
-    const size_t budget = options_.checkpointBudgetBytes;
-    const size_t min_prefix = std::max<size_t>(1, options_.minPrefixCycles);
-
     // Bug-set axis: when the batch contains the empty bug set, its
     // block runs first as the per-trace donor; jobs in other blocks
     // whose bugs never triggered on the donor run reuse its result
     // outright.
     size_t donor_set = nb;
-    if (budget > 0 && nb > 1) {
+    if (nb > 1) {
         for (size_t b = 0; b < nb; ++b) {
             if (bug_sets[b].none()) {
                 donor_set = b;
@@ -639,51 +431,17 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
     if (donor_active)
         std::swap(set_order[0], set_order[donor_set]);
 
-    std::vector<SlotPlan> slots;
+    // Jobs run block by block (the donor block first), traces in
+    // batch order. Workers claim jobs in that order, so every wait in
+    // DonorTable::wait is on a donor job that is already running or
+    // done: no deadlock, any worker count.
     std::vector<Job> jobs;
     jobs.reserve(nt * nb);
-    for (size_t bi = 0; bi < nb; ++bi) {
-        size_t b = set_order[bi];
-        std::vector<std::pair<size_t, int>> stack; // (depth, slot)
-        size_t live_bytes = 0;
-        for (size_t i = 0; i < nt; ++i) {
-            Job job;
-            job.trace = order[i];
-            job.bugSet = b;
-            size_t shared = (i == 0) ? 0 : lcp[i];
-            while (!stack.empty() && stack.back().first > shared) {
-                live_bytes -= est;
-                stack.pop_back();
-            }
-            size_t start = 0;
-            if (!stack.empty()) {
-                job.restoreSlot = stack.back().second;
-                start = stack.back().first;
-                ++slots[static_cast<size_t>(job.restoreSlot)].consumers;
-            }
-            if (budget > 0 && i + 1 < nt) {
-                size_t depth = lcp[i + 1];
-                if (depth > start && depth >= min_prefix &&
-                    live_bytes + est <= budget) {
-                    job.publishSlot = static_cast<int>(slots.size());
-                    job.publishDepth = depth;
-                    slots.push_back(SlotPlan{job.trace, depth, 0});
-                    stack.emplace_back(depth, job.publishSlot);
-                    live_bytes += est;
-                }
-            }
-            jobs.push_back(job);
-        }
+    for (size_t b : set_order) {
+        for (size_t t = 0; t < nt; ++t)
+            jobs.push_back(Job{t, b});
     }
 
-    // ------------------------------------------------------------------
-    // Execute. Workers claim jobs in plan order, so a checkpoint's
-    // producer is always claimed before any of its consumers: every
-    // wait in CheckpointCache::consume is on a job that is already
-    // running (or done), and every running job publishes or abandons
-    // its slot — no deadlock, any worker count.
-    // ------------------------------------------------------------------
-    CheckpointCache cache(slots, budget);
     DonorTable donors(donor_active ? nt : 0);
     std::atomic<size_t> next_job{0};
     std::vector<std::atomic<size_t>> first_div(nb);
@@ -702,14 +460,6 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
         const vecgen::TestTrace &trace = traces[job.trace];
         const size_t len = trace.cycles.size();
         const bool is_donor = donor_active && job.bugSet == donor_set;
-        // Drop this job's slot claims so planned waiters resolve
-        // (they fall back to from-reset replay).
-        auto release_slots = [&] {
-            if (job.restoreSlot >= 0)
-                cache.release(static_cast<size_t>(job.restoreSlot));
-            if (job.publishSlot >= 0)
-                cache.abandon(static_cast<size_t>(job.publishSlot));
-        };
 
         const bool past_divergence =
             options_.stopOnDivergence &&
@@ -721,7 +471,6 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
         if (past_divergence || cancelled) {
             // A trace earlier in the batch already diverged under
             // this bug set (or the batch was cancelled).
-            release_slots();
             if (is_donor)
                 donors.fail(job.trace);
             results[job.bugSet * nt + job.trace].skipped = true;
@@ -772,7 +521,6 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
                 if (is_donor)
                     donors.publish(job.trace, *donor_result,
                                    *donor_triggers);
-                release_slots();
                 if (donor_result->diverged &&
                     options_.stopOnDivergence)
                     fetchMin(first_div[job.bugSet], job.trace);
@@ -804,21 +552,17 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
         size_t start = 0;
         if (warm_entry_hit) {
             // Warm-chain resume: greatest link strictly below the
-            // first trigger (the cross-bug-set validity rule), within
-            // the trace, and — when this job still owes a planned
-            // checkpoint — strictly below its publish depth so the
-            // drive loop pauses there. A serialized snapshot is
+            // first trigger (the cross-bug-set validity rule) and
+            // within the trace. A serialized snapshot is
             // self-contained (the core owns its stream and inbox by
             // value, and the key guarantees identical content), so a
-            // valid record restores with nothing to rebind; a damaged
+            // valid record restores as it is; a damaged
             // or foreign record degrades to from-reset replay.
             const ReplayWarmCache::ChainLink *link = nullptr;
             const auto &chain = warm_entry_hit->chain;
             for (size_t i = chain.size(); i-- > 0;) {
                 if (chain[i].cycle < first_trigger &&
-                    chain[i].cycle <= len &&
-                    (job.publishSlot < 0 ||
-                     chain[i].cycle < job.publishDepth)) {
+                    chain[i].cycle <= len) {
                     link = &chain[i];
                     break;
                 }
@@ -834,66 +578,14 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
                     ++ls.strideHits;
                     ls.strideResumeCycles += start;
                     ls.cyclesAvoided += start;
-                } else {
-                    ++ls.misses;
-                }
-            }
-        }
-        if (warm_entry_hit && start > 0 && job.restoreSlot >= 0) {
-            // The warm resume superseded the planned restore; drop
-            // the claim so the slot can be freed.
-            cache.release(static_cast<size_t>(job.restoreSlot));
-        } else if (job.restoreSlot >= 0) {
-            rtl::PpCore::Snapshot snap =
-                cache.consume(static_cast<size_t>(job.restoreSlot));
-            if (!snap.valid()) {
-                ++ls.misses;
-            } else {
-                const vecgen::TestTrace &donor =
-                    traces[slots[static_cast<size_t>(job.restoreSlot)]
-                               .donorTrace];
-                // Exact reuse condition: our stimulus prefix must
-                // equal the donor's up to everything the checkpoint
-                // consumed. On any mismatch, replay from reset —
-                // correctness never rides on the plan being right.
-                size_t depth = snap.cycles();
-                size_t consumed = snap.streamConsumed();
-                size_t popped =
-                    donor.inbox.size() - snap.inboxRemaining();
-                bool ok =
-                    depth <= trace.cycles.size() &&
-                    consumed <= trace.fetchStream.size() &&
-                    popped <= trace.inbox.size() &&
-                    std::equal(donor.cycles.begin(),
-                               donor.cycles.begin() +
-                                   static_cast<long>(depth),
-                               trace.cycles.begin()) &&
-                    std::equal(donor.fetchStream.begin(),
-                               donor.fetchStream.begin() +
-                                   static_cast<long>(consumed),
-                               trace.fetchStream.begin()) &&
-                    std::equal(donor.inbox.begin(),
-                               donor.inbox.begin() +
-                                   static_cast<long>(popped),
-                               trace.inbox.begin());
-                if (!ok) {
-                    ++ls.fallbacks;
-                } else {
-                    core.restore(snap);
-                    core.rebindStream(trace.fetchStream);
-                    core.rebindInbox(trace.inbox, popped);
-                    start = depth;
-                    ++ls.hits;
-                    ls.cyclesAvoided += depth;
                 }
             }
         }
 
         resume_depth.record(double(start));
 
-        // Drive to the end of the trace, pausing at this job's
-        // planned publish depth and (warm-populating runs) at every
-        // link-stride boundary to snapshot.
+        // Drive to the end of the trace, pausing (warm-populating
+        // runs) at every link-stride boundary to snapshot.
         const size_t snap_stride =
             populate ? options_.checkpointStride : 0;
         uint64_t stepped_from = core.cycles();
@@ -938,37 +630,24 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
                 cycle, std::move(bytes)});
         };
         while (pos < len) {
-            size_t stop = len;
-            if (job.publishSlot >= 0 && job.publishDepth > pos)
-                stop = std::min(stop, job.publishDepth);
-            if (next_stride > pos)
-                stop = std::min(stop, next_stride);
+            const size_t stop = std::min(len, next_stride);
             VectorPlayer::drive(core, trace, pos, stop);
             pos = stop;
-            if (job.publishSlot >= 0 && pos == job.publishDepth)
-                cache.publish(static_cast<size_t>(job.publishSlot),
-                              core.snapshot());
             if (snap_stride && pos == next_stride) {
                 if (pos < len)
                     warm_add_link(pos);
                 next_stride += snap_stride;
             }
         }
-        // The loop above always reaches publishDepth (the plan keeps
-        // it in (start, len]); this guard only exists so a planning
-        // bug could never strand waiters on a Pending slot.
-        if (job.publishSlot >= 0 && job.publishDepth > len)
-            cache.abandon(static_cast<size_t>(job.publishSlot));
         PlayResult result = VectorPlayer::finish(config_, core, trace);
         ls.simulatedCycles += core.cycles() - stepped_from;
         ls.batchCycles += len;
         results[job.bugSet * nt + job.trace] = result;
 
         if (is_donor || populate) {
-            // Trigger cycles are exact even when this run resumed
-            // from a checkpoint: the snapshot carries the donor
-            // prefix's counters, and the verified-identical stimulus
-            // makes that prefix's triggers this trace's triggers.
+            // Donor and populating runs never resume from a warm
+            // link (neither has a warm entry), so these are the
+            // trace's own trigger cycles from reset.
             std::array<uint64_t, rtl::numBugs> triggers{};
             for (size_t i = 0; i < rtl::numBugs; ++i)
                 triggers[i] =
@@ -1040,9 +719,6 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
         stats_.batchCycles += ls.batchCycles;
         stats_.simulatedCycles += ls.simulatedCycles;
         stats_.cyclesAvoided += ls.cyclesAvoided;
-        stats_.checkpointHits += ls.hits;
-        stats_.checkpointMisses += ls.misses;
-        stats_.verifyFallbacks += ls.fallbacks;
         stats_.bugSetCopies += ls.copies;
         stats_.strideHits += ls.strideHits;
         stats_.strideResumeCycles += ls.strideResumeCycles;
@@ -1053,19 +729,10 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
         stats_.warmCopies += ls.warmCopies;
         stats_.warmInserts += ls.warmInserts;
     }
-    stats_.checkpointsPublished = cache.published();
-    stats_.cacheEvictions = cache.evictions();
-    stats_.peakCacheBytes = cache.peakBytes();
 
     // Registry mirror of the batch stats: one add per batch keeps
     // the hot path free of shared-counter traffic.
     telemetry::counter("replay.jobs").add(stats_.jobs);
-    telemetry::counter("replay.checkpoint_hits")
-        .add(stats_.checkpointHits);
-    telemetry::counter("replay.checkpoint_misses")
-        .add(stats_.checkpointMisses);
-    telemetry::counter("replay.verify_fallbacks")
-        .add(stats_.verifyFallbacks);
     telemetry::counter("replay.bug_set_copies")
         .add(stats_.bugSetCopies);
     telemetry::counter("replay.stride_hits").add(stats_.strideHits);
@@ -1073,8 +740,6 @@ ReplayEngine::playAll(const std::vector<vecgen::TestTrace> &traces,
         .add(stats_.cyclesAvoided);
     telemetry::counter("replay.cycles_simulated")
         .add(stats_.simulatedCycles);
-    telemetry::gauge("replay.peak_cache_bytes")
-        .set(static_cast<int64_t>(stats_.peakCacheBytes));
     if (warm) {
         telemetry::counter("replay.warm_lookups")
             .add(stats_.warmLookups);

@@ -1,37 +1,17 @@
 /**
  * @file
- * Checkpoint-accelerated batch replay — the perf core of steps 3–4.
+ * Batch replay — the perf core of steps 3–4.
  *
- * Tour traces are reset-rooted DFS walks of the state graph, so a
- * batch of them shares long stimulus prefixes. The engine organizes a
- * batch into its prefix tree (by sorting traces lexicographically on
- * forced-cycle content and chaining longest-common-prefix lengths),
- * simulates each shared prefix once per bug set, publishes a
- * value-semantics PpCore snapshot at every planned branch point, and
- * resumes sibling traces from the snapshot instead of from reset.
- * Snapshots live in an LRU cache under a configurable byte budget;
- * replay jobs (trace × BugSet) fan out across a worker pool.
+ * Replay jobs (trace × BugSet) fan out across a worker pool. Each job
+ * plays one tour trace on a fresh core exactly as VectorPlayer::play
+ * would; two sharing axes skip simulation that is provably redundant.
  *
  * Correctness contract: results are byte-identical to playing every
  * trace on a fresh core with VectorPlayer::play, for any worker
- * count and any cache budget. Two mechanisms guarantee it:
+ * count and any warm-cache budget.
  *
- *  - snapshots are bit-exact whole-machine copies (cycle and retire
- *    counters included), so a resumed run is indistinguishable from
- *    an uninterrupted one;
- *  - before resuming trace B from a checkpoint donated by trace A,
- *    the engine verifies that B's stimulus prefix (forced cycles,
- *    consumed fetch-stream words, popped inbox words) equals A's. On
- *    any mismatch it falls back to from-reset replay, so a foreign
- *    checkpoint can cost cycles but never correctness.
- *
- * The checkpoint cache only helps when shared edge prefixes carry
- * identical operand bytes — which the vector generator guarantees by
- * seeding each packet's draws from a hash of the tour-edge prefix
- * (see vecgen::VectorGenerator).
- *
- * A second sharing axis covers the trace × bug-set matrix: every
- * fault effect in rtl::PpCore is strictly guarded by its trigger
+ * The first axis covers the trace × bug-set matrix: every fault
+ * effect in rtl::PpCore is strictly guarded by its trigger
  * conjunction, and the core records the first cycle each conjunction
  * held whether or not the bug is enabled (PpCore::bugFirstTrigger).
  * When a batch contains the empty bug set, its block runs first as
@@ -41,21 +21,18 @@
  * entirely. Since the Table 2.1 faults are rare multi-event
  * conjunctions, most bugged replays collapse to copies.
  *
- * Jobs whose bugs *did* trigger on the donor run replay — from a
- * prefix checkpoint of their own block, or, when the trace is warm
- * (see ReplayWarmCache), from the donor's periodic checkpoint chain
- * below the first trigger cycle. That restore is sound across bug
- * sets: a donor checkpoint whose cycle lies strictly below every
+ * The second axis (ReplayWarmCache, below) carries donor records
+ * across batches. Jobs whose bugs *did* trigger on the donor run
+ * replay, from reset or, when the trace is warm, from the donor's
+ * periodic checkpoint chain below the first trigger cycle. That
+ * restore is sound across bug sets: snapshots are bit-exact
+ * whole-machine copies (cycle and retire counters included), and a
+ * donor checkpoint whose cycle lies strictly below every
  * first-trigger cycle of a bug set is bit-identical to the state
  * that bugged run would have reached (fault effects are
  * trigger-guarded; trigger cycles are recorded regardless of
  * enablement), except for the enabled-bug mask itself, which the
  * restore re-arms (PpCore::restoreWithBugs).
- *
- * Prefix checkpoints live in memory under one LRU byte budget
- * (ReplayOptions::checkpointBudgetBytes). A checkpoint that is
- * evicted, or too big for the budget, is dropped: its consumers fall
- * back to from-reset replay, which costs cycles, never correctness.
  */
 
 #ifndef ARCHVAL_HARNESS_REPLAY_ENGINE_HH
@@ -76,7 +53,7 @@ namespace archval::harness
 {
 
 /**
- * Cross-batch warm cache — the third sharing axis, across playAll()
+ * Cross-batch warm cache — the second sharing axis, across playAll()
  * calls (and across engines: the cache is shared by handle, so a
  * service session or a hunt loop keeps it alive between requests).
  *
@@ -206,15 +183,6 @@ struct ReplayOptions
     /** Worker threads replay jobs concurrently (1 = inline). */
     unsigned numThreads = 1;
 
-    /** Checkpoint-cache byte budget; 0 disables both sharing axes
-     *  (cross-trace prefixes and bug-free donor reuse) and every job
-     *  replays from reset. */
-    size_t checkpointBudgetBytes = 64ull << 20;
-
-    /** Shortest shared prefix worth a checkpoint: below this the
-     *  snapshot copy costs more than the cycles it saves. */
-    size_t minPrefixCycles = 16;
-
     /**
      * Cycle stride of the warm cache's chain links (0 = no links).
      * Only meaningful with a warmCache: a run that populates it
@@ -260,15 +228,18 @@ struct ReplayStats
     uint64_t batchCycles = 0;     ///< forced cycles the batch demands
     uint64_t simulatedCycles = 0; ///< core steps actually executed
     uint64_t cyclesAvoided = 0;   ///< cycles reused instead of stepped
-    uint64_t checkpointsPublished = 0;
-    uint64_t checkpointHits = 0;     ///< restores from the cache
-    uint64_t checkpointMisses = 0;   ///< planned restore evicted/abandoned
-    uint64_t verifyFallbacks = 0;    ///< stimulus-prefix mismatch
     /** Jobs whose whole result was reused from the trace's bug-free
      *  donor run because none of their bugs ever triggered on it. */
     uint64_t bugSetCopies = 0;
-    uint64_t cacheEvictions = 0;
+
+    /** @name Prefix-checkpoint counters, always 0
+     *  The in-batch prefix checkpoint tier that filled these is gone;
+     *  they remain only because perfbench/bench_main.cc still reads
+     *  them, and go together with that reader. @{ */
+    uint64_t checkpointHits = 0;
+    uint64_t verifyFallbacks = 0;
     size_t peakCacheBytes = 0;
+    /** @} */
 
     /** @name Re-reaching a bug @{ */
     /** Triggered jobs resumed from a stride-spaced donor checkpoint
@@ -296,14 +267,6 @@ struct ReplayStats
     uint64_t warmInserts = 0; ///< donor entries published
     /** @} */
 
-    /** @return fraction of planned restores that hit the cache. */
-    double hitRate() const
-    {
-        uint64_t planned =
-            checkpointHits + checkpointMisses + verifyFallbacks;
-        return planned ? double(checkpointHits) / double(planned) : 0.0;
-    }
-
     /** @return fraction of demanded forced cycles never stepped. */
     double avoidedFraction() const
     {
@@ -327,9 +290,9 @@ struct ReplayStats
 };
 
 /**
- * Replays batches of test traces against bug sets with prefix
- * sharing and a worker pool. Reusable; stats() reflects the most
- * recent playAll().
+ * Replays batches of test traces against bug sets with donor sharing
+ * and a worker pool. Reusable; stats() reflects the most recent
+ * playAll().
  */
 class ReplayEngine
 {
@@ -354,8 +317,8 @@ class ReplayEngine
             const rtl::BugSet &bugs = {});
 
     /** @return statistics for the most recent playAll(). Simulation
-     *  results are always exact; cache-related counters can vary
-     *  with thread timing when evictions occur. */
+     *  results are always exact; warm-cache counters can vary with
+     *  thread timing when evictions occur. */
     const ReplayStats &stats() const { return stats_; }
 
     /** @return the engine's options. */

@@ -109,28 +109,10 @@ PpCore::setInbox(std::deque<uint32_t> inbox)
     inbox_ = std::move(inbox);
 }
 
-size_t
-PpCore::Snapshot::bytes() const
-{
-    return state_ ? state_->snapshotBytes() : 0;
-}
-
 uint64_t
 PpCore::Snapshot::cycles() const
 {
     return state_ ? state_->cycles_ : 0;
-}
-
-size_t
-PpCore::Snapshot::streamConsumed() const
-{
-    return state_ ? state_->streamPos_ : 0;
-}
-
-size_t
-PpCore::Snapshot::inboxRemaining() const
-{
-    return state_ ? state_->inbox_.size() : 0;
 }
 
 PpCore::Snapshot
@@ -410,29 +392,6 @@ PpCore::deserializeSnapshot(const PpConfig &config, CoreMode mode,
     if (core->deserializeFrom(data, size))
         snap.state_ = std::move(core);
     return snap;
-}
-
-void
-PpCore::rebindStream(const std::vector<uint32_t> &stream)
-{
-    if (mode_ != CoreMode::Vector)
-        fatal("rebindStream requires vector mode");
-    if (stream.size() < streamPos_)
-        fatal("rebindStream: new stream shorter than consumed prefix");
-    for (size_t i = 0; i < streamPos_; ++i) {
-        if (stream[i] != stream_[i])
-            fatal("rebindStream: consumed prefix differs");
-    }
-    stream_.assign(stream.begin(), stream.end());
-}
-
-void
-PpCore::rebindInbox(const std::deque<uint32_t> &inbox, size_t consumed)
-{
-    if (consumed > inbox.size())
-        fatal("rebindInbox: consumed count exceeds inbox size");
-    inbox_.assign(inbox.begin() + static_cast<long>(consumed),
-                  inbox.end());
 }
 
 size_t

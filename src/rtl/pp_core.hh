@@ -111,14 +111,8 @@ class PpCore
         Snapshot() = default;
         /** @return true when this snapshot holds a state. */
         bool valid() const { return state_ != nullptr; }
-        /** @return approximate heap+object footprint in bytes. */
-        size_t bytes() const;
         /** @return cycles executed at capture time. */
         uint64_t cycles() const;
-        /** @return fetch-stream words consumed at capture time. */
-        size_t streamConsumed() const;
-        /** @return Inbox words left unconsumed at capture time. */
-        size_t inboxRemaining() const;
 
         /**
          * Serialize to a self-contained byte record (the replay warm
@@ -167,24 +161,6 @@ class PpCore
      */
     void restoreWithBugs(const Snapshot &snap, const BugSet &bugs);
 
-    /**
-     * Replace the vector-mode fetch stream while keeping the consumed
-     * position — used when a checkpoint is resumed under a different
-     * trace that shares the consumed prefix. The already-consumed
-     * words must be identical (checked).
-     */
-    void rebindStream(const std::vector<uint32_t> &stream);
-
-    /**
-     * Replace the Inbox with @p inbox minus its first @p consumed
-     * words. The checkpoint already popped those; the caller verifies
-     * against the donor trace that they match what was popped.
-     */
-    void rebindInbox(const std::deque<uint32_t> &inbox,
-                     size_t consumed);
-
-    /** @return approximate footprint of one snapshot of this core. */
-    size_t snapshotBytes() const;
     /** @} */
 
     /** Preload a data-memory word. */
@@ -240,9 +216,6 @@ class PpCore
     /** @return instructions retired (architecturally executed). */
     uint64_t instructionsRetired() const { return retired_; }
 
-    /** @return instructions consumed from the vector-mode stream. */
-    uint64_t streamConsumed() const { return streamPos_; }
-
     /** @return register @p index. */
     uint32_t reg(unsigned index) const { return regs_[index & 31]; }
 
@@ -284,6 +257,10 @@ class PpCore
     };
 
     void reset();
+
+    /** @return approximate footprint of one snapshot of this core
+     *  (the serialize() buffer reservation). */
+    size_t snapshotBytes() const;
 
     /** Append the whole machine state to @p out (snapshot record). */
     void serializeInto(std::vector<uint8_t> &out) const;

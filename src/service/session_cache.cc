@@ -14,11 +14,10 @@ DesignSpec::fingerprint() const
 {
     return formatString(
         "preset=%s lineWords=%u modelBranches=%d dualIssue=%d "
-        "maxStates=%llu maxInstr=%llu nestedSplits=%d vectorSeed=%llu",
+        "maxStates=%llu maxInstr=%llu vectorSeed=%llu",
         preset.c_str(), lineWords, modelBranches, dualIssue,
         static_cast<unsigned long long>(maxStates),
         static_cast<unsigned long long>(maxInstructionsPerTrace),
-        nestedPrefixSplits ? 1 : 0,
         static_cast<unsigned long long>(vectorSeed));
 }
 
@@ -103,6 +102,14 @@ DesignSpec::fromJson(const json::Value &design)
         return Result<DesignSpec>::error(
             "bad request: 'design' must be an object");
     }
+    // Nested prefix splits were removed from tour generation; a
+    // client that still asks for them is told so rather than being
+    // silently given plain tours.
+    if (design.has("nestedPrefixSplits")) {
+        return Result<DesignSpec>::error(
+            "bad request: design field 'nestedPrefixSplits' is no "
+            "longer supported (tours are always plain splits)");
+    }
     std::string error;
     if (design.has("preset")) {
         if (!design.get("preset").isString())
@@ -124,8 +131,6 @@ DesignSpec::fromJson(const json::Value &design)
         !readCount(design, "maxInstructionsPerTrace",
                    spec.maxInstructionsPerTrace, error) ||
         !readCount(design, "vectorSeed", spec.vectorSeed, error) ||
-        !readFlag(design, "nestedPrefixSplits",
-                  spec.nestedPrefixSplits, error) ||
         !readFlag(design, "compiledStep", spec.compiledStep, error) ||
         !readFlag(design, "modelBranches", model_branches, error) ||
         !readFlag(design, "dualIssue", dual_issue, error)) {
@@ -210,7 +215,6 @@ Session::ensure(Stage stage, const std::atomic<bool> *cancel)
             graph::TourOptions options;
             options.maxInstructionsPerTrace =
                 spec_.maxInstructionsPerTrace;
-            options.nestedPrefixSplits = spec_.nestedPrefixSplits;
             graph::TourGenerator generator(*graph_, options);
             auto tours = generator.run();
             std::string check =

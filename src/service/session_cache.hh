@@ -88,7 +88,6 @@ struct DesignSpec
 
     /** Tour generation (graph::TourOptions). */
     uint64_t maxInstructionsPerTrace = 0;
-    bool nestedPrefixSplits = false;
 
     /** Vector generation seed. */
     uint64_t vectorSeed = 1;

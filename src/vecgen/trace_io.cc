@@ -49,6 +49,33 @@ parseSignal(const std::string &token, uint8_t &value)
     return true;
 }
 
+/** Append " <value>" in decimal (a ForcedSignals element). */
+void
+appendSignal(std::string &out, uint8_t value)
+{
+    char buf[4];
+    size_t n = 0;
+    do {
+        buf[n++] = static_cast<char>('0' + value % 10);
+        value /= 10;
+    } while (value != 0);
+    out += ' ';
+    while (n > 0)
+        out += buf[--n];
+}
+
+/** Append " <word>" as eight lowercase hex digits ("%08x"). */
+void
+appendWord(std::string &out, uint32_t word)
+{
+    static constexpr char digits[] = "0123456789abcdef";
+    char buf[9];
+    buf[0] = ' ';
+    for (int i = 8; i > 0; --i, word >>= 4)
+        buf[i] = digits[word & 0xf];
+    out.append(buf, sizeof buf);
+}
+
 } // namespace
 
 std::string
@@ -64,10 +91,10 @@ serializeTrace(const TestTrace &trace)
     out += formatString("cycles %zu %zu\n", trace.cycles.size(),
                         rtl::numPpChoiceVars);
     for (const auto &signals : trace.cycles) {
-        out += "C";
+        out += 'C';
         for (uint8_t value : signals)
-            out += formatString(" %u", static_cast<unsigned>(value));
-        out += "\n";
+            appendSignal(out, value);
+        out += '\n';
     }
 
     auto word_section = [&out](const char *name,
@@ -75,15 +102,16 @@ serializeTrace(const TestTrace &trace)
         out += formatString("%s %zu\n", name, words.size());
         size_t column = 0;
         for (uint32_t word : words) {
-            out += column == 0 ? "W" : "";
-            out += formatString(" %08x", word);
+            if (column == 0)
+                out += 'W';
+            appendWord(out, word);
             if (++column == 8) {
-                out += "\n";
+                out += '\n';
                 column = 0;
             }
         }
         if (column != 0)
-            out += "\n";
+            out += '\n';
     };
     word_section("fetch", trace.fetchStream);
     word_section("retired", trace.retiredStream);

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tiered in-trace checkpointing tests (ctest label `checkpoint`).
+ * Snapshot checkpointing tests (ctest label `checkpoint`).
  *
- * Checkpointed replay rides on three claims, each attacked here:
+ * Warm-chain replay rides on three claims, each attacked here:
  *
  *  1. Snapshot serialization is lossless: a snapshot that round-trips
  *     through bytes resumes to a bit-identical outcome, and damaged
@@ -12,11 +12,10 @@
  *     restoring a donor snapshot with the bug mask re-armed
  *     (PpCore::restoreWithBugs) reproduces the bugged run exactly.
  *  3. The engine's results are byte-identical to the sequential
- *     VectorPlayer for every (cache budget × worker count)
- *     combination — including budgets so small that checkpoints are
- *     evicted and dropped, which may cost cycles but never
- *     correctness — and for cold and warm runs through a warm cache
- *     at any chain-link stride.
+ *     VectorPlayer for every (worker count × bug set) combination,
+ *     cold and warm through a warm cache at any chain-link stride —
+ *     including caches so small that chains are thinned and whole
+ *     entries evicted, which may cost cycles but never correctness.
  *
  * The suite exercises the worker pool, so it is part of the
  * ARCHVAL_SANITIZE=thread build (see README).
@@ -101,12 +100,15 @@ class CheckpointFixture : public ::testing::Test
         config_ = nullptr;
     }
 
-    /** @return one PpCore snapshot's byte footprint. */
+    /** @return the serialized size of a reset-state PpCore
+     *  snapshot (the unit warm-cache budgets are sized in). */
     static size_t
     snapshotBytes()
     {
         return rtl::PpCore(*config_, rtl::CoreMode::Vector)
-            .snapshotBytes();
+            .snapshot()
+            .serialize()
+            .size();
     }
 
     static PpConfig *config_;
@@ -323,94 +325,75 @@ TEST_F(CheckpointFixture, BugRearmRoundTripFuzz)
 
 TEST_F(CheckpointFixture, EngineMatchesSequentialAcrossTierSweep)
 {
-    // The acceptance sweep: memory budget × worker count, all six
-    // Table 2.1 bug sets plus the bug-free donor. The batch joins a
-    // nested-prefix batch (consecutive traces share their whole stem,
-    // so each block simulates the stem once) with the fixture's
-    // plain batch, whose reset-rooted walks branch after a few
-    // cycles; a one-cycle minimum prefix checkpoints those branch
-    // points, so several checkpoints are live at once.
-    graph::TourOptions tour_options;
-    tour_options.maxInstructionsPerTrace = 4'000;
-    tour_options.nestedPrefixSplits = true;
-    graph::TourGenerator tour_gen(*graph_, tour_options);
-    std::vector<vecgen::TestTrace> batch =
-        vecgen::VectorGenerator(*model_, 42)
-            .generateAll(*graph_, tour_gen.run());
-    // Each nested trace re-walks every stem before it, so the batch
-    // grows quadratically; its first eight traces keep the sweep
-    // short and still chain seven stems.
-    ASSERT_GT(batch.size(), 8u);
-    batch.resize(8);
-    const size_t nested = batch.size();
-    batch.insert(batch.end(), traces_->begin(), traces_->end());
-
-    // Sequential ground truth: the nested part is played here, the
-    // plain part comes from the fixture's matrix.
-    VectorPlayer player(*config_);
-    std::vector<PlayResult> expected;
-    for (size_t b = 0; b < bug_sets_->size(); ++b) {
-        for (size_t t = 0; t < nested; ++t)
-            expected.push_back(player.play(batch[t], (*bug_sets_)[b]));
-        const auto plain = expected_->begin() +
-                           static_cast<long>(b * traces_->size());
-        expected.insert(expected.end(), plain,
-                        plain + static_cast<long>(traces_->size()));
-    }
-
-    // The plan budgets every checkpoint at the reset-state snapshot
-    // size. Mid-trace snapshots also carry the trace's stream and
-    // outgrow that estimate, so under the tight budget the plan
-    // keeps more checkpoints live than fit and the cache evicts; the
-    // tiny budget is below every mid-trace snapshot, so each one is
-    // dropped on publish. Either way consumers replay from reset —
-    // cycles, never correctness.
+    // The acceptance sweep: warm-cache tier × worker count, all six
+    // Table 2.1 bug sets plus the bug-free donor. Each warm tier
+    // plays the batch cold (populating a fresh cache) and then warm
+    // (copying donor results and resuming triggered jobs from chain
+    // links). The tight tier's per-entry cap thins long chains and
+    // its budget holds only part of the batch, so entries are
+    // evicted: that may cost cycles, never correctness.
     const size_t one = snapshotBytes();
     struct Tier
     {
-        size_t memory;
         const char *name;
+        size_t budget;   ///< warm-cache bytes (0 = no warm cache)
+        size_t chainCap; ///< per-entry chain bytes
+        size_t stride;   ///< chain-link stride
     };
     const Tier tiers[] = {
-        {size_t{1} << 40, "mem-unbounded"},
-        {4 * one, "mem-tight+evict"},
-        {2 * one, "mem-tiny+drop"},
+        {"no-warm", 0, 0, 1024},
+        {"warm-roomy", size_t{1} << 40, size_t{1} << 40, 256},
+        {"warm-tight", 2048 * one, 16 * one, 64},
     };
-    bool hit_somewhere = false;
-    bool eviction_somewhere = false;
 
     for (const Tier &tier : tiers) {
         for (unsigned nw : {1u, 2u, 8u}) {
             ReplayOptions options;
             options.numThreads = nw;
-            options.checkpointBudgetBytes = tier.memory;
-            options.minPrefixCycles = 1;
-            ReplayStats stats = expectMatrixIdentical(
-                *config_, batch, *bug_sets_, expected, options,
-                std::string(tier.name) +
-                    " workers=" + std::to_string(nw));
-            if (stats.checkpointHits > 0)
-                hit_somewhere = true;
-            if (tier.memory < (size_t{1} << 30)) {
-                if (stats.cacheEvictions > 0)
-                    eviction_somewhere = true;
-            } else {
-                EXPECT_EQ(stats.cacheEvictions, 0u)
-                    << "workers=" << nw;
+            options.checkpointStride = tier.stride;
+            if (tier.budget > 0) {
+                options.warmCache = std::make_shared<ReplayWarmCache>(
+                    tier.budget, tier.chainCap);
             }
-            // Without a warm cache no stride-spaced checkpoint
-            // exists; triggered jobs still count their leads.
-            EXPECT_EQ(stats.strideHits, 0u) << tier.name;
-            EXPECT_GT(stats.triggeredJobs, 0u) << tier.name;
-            EXPECT_LE(stats.triggeredLeadCycles,
-                      stats.triggeredJobCycles);
+            const std::string what =
+                std::string(tier.name) + " workers=" +
+                std::to_string(nw);
+            ReplayStats cold = expectMatrixIdentical(
+                *config_, *traces_, *bug_sets_, *expected_, options,
+                what + " cold");
+            // A cold run has no chain to resume from; triggered jobs
+            // still count their leads.
+            EXPECT_EQ(cold.strideHits, 0u) << what;
+            EXPECT_GT(cold.triggeredJobs, 0u) << what;
+            EXPECT_LE(cold.triggeredLeadCycles, cold.triggeredJobCycles)
+                << what;
+            if (!options.warmCache)
+                continue;
+
+            ReplayStats warm = expectMatrixIdentical(
+                *config_, *traces_, *bug_sets_, *expected_, options,
+                what + " warm");
+            EXPECT_EQ(cold.warmInserts, traces_->size()) << what;
+            EXPECT_GT(warm.warmHits, 0u) << what;
+            EXPECT_GT(warm.strideHits, 0u) << what;
+            const ReplayWarmCache::Stats cache =
+                options.warmCache->stats();
+            if (tier.budget < (size_t{1} << 40)) {
+                EXPECT_GT(cache.evictions, 0u) << what;
+                // A thinned chain's first link sits at a doubled
+                // stride.
+                bool thinned = false;
+                for (const auto &entry : options.warmCache->entries())
+                    thinned = thinned ||
+                              (!entry->chain.empty() &&
+                               entry->chain.front().cycle > tier.stride);
+                EXPECT_TRUE(thinned) << what;
+            } else {
+                EXPECT_EQ(cache.evictions, 0u) << what;
+                EXPECT_EQ(warm.warmHits, traces_->size()) << what;
+            }
         }
     }
-    // The sweep must actually exercise what it validates: at least
-    // one configuration resumes from a prefix checkpoint, and at
-    // least one evicts a checkpoint, drops it and still matches.
-    EXPECT_TRUE(hit_somewhere);
-    EXPECT_TRUE(eviction_somewhere);
 }
 
 TEST_F(CheckpointFixture, RandomizedPropertyDifferential)
@@ -445,7 +428,7 @@ TEST_F(CheckpointFixture, RandomizedPropertyDifferential)
         }
         // Half the draws replay through a fresh warm cache; those
         // always carry the bug-free set, whose runs populate it.
-        const bool warm = rng.chance(1, 2);
+        const bool warm = draw % 2 == 1;
         if (bug_sets.empty() || (warm && bug_sets.front().any())) {
             bug_sets.insert(bug_sets.begin(), (*bug_sets_)[0]);
             expected.insert(expected.begin(), expected_->begin(),
@@ -456,9 +439,6 @@ TEST_F(CheckpointFixture, RandomizedPropertyDifferential)
         ReplayOptions options;
         options.numThreads = 1 + (unsigned)rng.index(8);
         options.checkpointStride = rng.index(2 * max_len);
-        options.checkpointBudgetBytes =
-            rng.chance(1, 4) ? 0 : rng.range(one, 64 * one);
-        options.minPrefixCycles = rng.range(1, 64);
         const std::string what =
             "draw " + std::to_string(draw) + " workers=" +
             std::to_string(options.numThreads) + " stride=" +
@@ -476,13 +456,8 @@ TEST_F(CheckpointFixture, RandomizedPropertyDifferential)
             ReplayStats stats = expectMatrixIdentical(
                 *config_, *traces_, bug_sets, expected, options,
                 what + " warm");
-            // A zero budget disables the donor block, so a batch
-            // with bugged sets then has no run to populate from.
-            if (options.checkpointBudgetBytes > 0 ||
-                bug_sets.size() == 1) {
-                EXPECT_EQ(cold.warmInserts, traces_->size()) << what;
-                EXPECT_GT(stats.warmHits, 0u) << what;
-            }
+            EXPECT_EQ(cold.warmInserts, traces_->size()) << what;
+            EXPECT_GT(stats.warmHits, 0u) << what;
             EXPECT_LE(stats.warmHits, cold.warmInserts) << what;
         }
     }

@@ -374,7 +374,6 @@ TEST(DesignSpecParse, WrongTypedFieldsAreBadRequests)
     EXPECT_FALSE(parse("{\"maxStates\": \"lots\"}").ok());
     EXPECT_FALSE(parse("{\"lineWords\": -2}").ok());
     EXPECT_FALSE(parse("{\"modelBranches\": 1}").ok()); // bool field
-    EXPECT_FALSE(parse("{\"nestedPrefixSplits\": \"yes\"}").ok());
     EXPECT_FALSE(parse("{\"preset\": 3}").ok());
     EXPECT_FALSE(parse("[1, 2]").ok()); // design must be an object
 
@@ -385,6 +384,20 @@ TEST(DesignSpecParse, WrongTypedFieldsAreBadRequests)
     EXPECT_EQ(good.value().maxStates, 250'000u);
     EXPECT_EQ(good.value().dualIssue, 1);
     EXPECT_EQ(good.value().preset, "small");
+
+    // Nested prefix splits were removed: a client still setting the
+    // key, to any value, is told so rather than given plain tours.
+    for (const char *text : {"{\"nestedPrefixSplits\": true}",
+                             "{\"nestedPrefixSplits\": false}",
+                             "{\"nestedPrefixSplits\": \"yes\"}"}) {
+        Result<DesignSpec> gone = parse(text);
+        ASSERT_FALSE(gone.ok()) << text;
+        EXPECT_EQ(gone.errorMessage().rfind("bad request", 0), 0u)
+            << gone.errorMessage();
+        EXPECT_NE(gone.errorMessage().find("nestedPrefixSplits"),
+                  std::string::npos)
+            << gone.errorMessage();
+    }
 }
 
 TEST(DesignSpecParse, OutOfRangeLineWordsAreBadRequests)

@@ -131,58 +131,6 @@ TEST(Tour, InstructionLimitSplitsTraces)
     EXPECT_GT(generator.stats().tracesTerminatedByLimit, 0u);
 }
 
-TEST(Tour, NestedPrefixSplitsShareStems)
-{
-    auto graph = ringGraph(30);
-    TourOptions options;
-    options.maxInstructionsPerTrace = 10;
-    options.nestedPrefixSplits = true;
-    TourGenerator generator(graph, options);
-    auto traces = generator.run();
-    EXPECT_EQ(checkTourCoverage(graph, traces), "");
-    ASSERT_GT(traces.size(), 1u);
-
-    // Every trace except the last must be a strict prefix of its
-    // successor (the whole batch is one nested family on a ring),
-    // cut at limit-spaced instruction counts.
-    for (size_t i = 0; i + 1 < traces.size(); ++i) {
-        const Trace &a = traces[i];
-        const Trace &b = traces[i + 1];
-        ASSERT_LT(a.edges.size(), b.edges.size());
-        EXPECT_TRUE(std::equal(a.edges.begin(), a.edges.end(),
-                               b.edges.begin()))
-            << "trace " << i << " is not a prefix of its successor";
-        EXPECT_TRUE(a.limitTerminated);
-        EXPECT_GE(a.instructions, 10u * (i + 1));
-        EXPECT_LT(a.instructions, 10u * (i + 2));
-    }
-    EXPECT_FALSE(traces.back().limitTerminated);
-
-    // Stats describe the emitted (split) batch, not the raw walk.
-    uint64_t edges = 0, instrs = 0;
-    for (const auto &t : traces) {
-        edges += t.edges.size();
-        instrs += t.instructions;
-    }
-    EXPECT_EQ(generator.stats().numTraces, traces.size());
-    EXPECT_EQ(generator.stats().totalEdgeTraversals, edges);
-    EXPECT_EQ(generator.stats().totalInstructions, instrs);
-    EXPECT_EQ(generator.stats().tracesTerminatedByLimit,
-              traces.size() - 1);
-}
-
-TEST(Tour, NestedPrefixSplitsWithoutLimitIsUnsplit)
-{
-    auto graph = ringGraph(8);
-    TourOptions options;
-    options.nestedPrefixSplits = true; // limit 0: option is inert
-    TourGenerator generator(graph, options);
-    auto traces = generator.run();
-    ASSERT_EQ(traces.size(), 1u);
-    EXPECT_EQ(traces[0].edges.size(), 8u);
-    EXPECT_EQ(checkTourCoverage(graph, traces), "");
-}
-
 TEST(Tour, LimitCountsInstructionsNotEdges)
 {
     // Ring where only every third edge carries an instruction: the

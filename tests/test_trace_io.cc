@@ -128,6 +128,37 @@ TEST_F(TraceIoFixture, FileNameConvention)
     EXPECT_EQ(traceFileName(42), "trace_000042.avt");
 }
 
+TEST(TraceIo, SerializedTextIsPinned)
+{
+    // Warm-cache keys and .avt files are these exact bytes: any
+    // change to the text format (column wrap, padding, separators)
+    // must show up here, not as silent cache misses.
+    TestTrace trace;
+    trace.traceIndex = 7;
+    trace.instructions = 12;
+    trace.cycles.push_back({0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10});
+    trace.cycles.push_back({255, 0, 0, 0, 0, 0, 0, 0, 0, 0, 10});
+    trace.fetchStream = {0x00000000, 0x00000001, 0xdeadbeef,
+                         0xffffffff, 0x0000abcd, 0x12345678,
+                         0x80000000, 0x0badf00d, 0x00c0ffee};
+    trace.inbox = {0x2a, 0xcafebabe};
+    EXPECT_EQ(serializeTrace(trace),
+              "archval-trace 1\n"
+              "trace 7\n"
+              "instructions 12\n"
+              "cycles 2 11\n"
+              "C 0 1 2 3 4 5 6 7 8 9 10\n"
+              "C 255 0 0 0 0 0 0 0 0 0 10\n"
+              "fetch 9\n"
+              "W 00000000 00000001 deadbeef ffffffff 0000abcd "
+              "12345678 80000000 0badf00d\n"
+              "W 00c0ffee\n"
+              "retired 0\n"
+              "inbox 2\n"
+              "W 0000002a cafebabe\n"
+              "end\n");
+}
+
 TEST(TraceIo, RejectsBadMagic)
 {
     EXPECT_FALSE(deserializeTrace("not a trace\n").ok());

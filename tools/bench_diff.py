@@ -20,7 +20,7 @@ workers/stride/bug). Metrics fall into three classes:
   * gated    — performance counters that are allowed to drift up to
                the threshold (default 20%) in the bad direction:
                lower-is-better (simulated cycles) or higher-is-better
-               (avoided fraction, hit rate, stride savings).
+               (avoided fraction, stride savings).
   * informational — everything else, most importantly wall-clock and
                CPU seconds: machine-dependent, reported but never
                gated (the committed baseline may come from different
@@ -41,14 +41,12 @@ ID_KEYS = (
     "benchmark",
     "workers",
     "threads",
-    "cache",
     "stride",
     "budget_kb",
     "processes",
     "bug",
     "mutation",
     "limit",
-    "nested",
 )
 
 # Metrics that must match the baseline exactly.
@@ -78,15 +76,12 @@ EXACT_SUFFIXES = ("_detected",)
 # Gated metrics and their good direction.
 LOWER_IS_BETTER = {
     "simulated_cycles",
-    "sim_cycles_cache_off",
-    "sim_cycles_cache_on",
     "bits_per_state",
     "tour_instructions",
     "tour_cycles",
 }
 HIGHER_IS_BETTER = {
     "avoided_fraction",
-    "hit_rate",
     "stride_savings",
     "coverage_fraction",
     "speedup_bytecode",
@@ -108,8 +103,6 @@ MIN_FLOORS = {
 # the same drift threshold as row metrics; everything not named here
 # (wall-clock histograms, gauges) is informational.
 METRICS_LOWER_IS_BETTER = {
-    "replay.checkpoint_misses",
-    "replay.verify_fallbacks",
     "replay.cycles_simulated",
     # Service health: jobs turned away or failed, protocol damage
     # and enumeration spill fallbacks are regressions when they grow.
@@ -120,7 +113,6 @@ METRICS_LOWER_IS_BETTER = {
     "enum.spill_fallbacks",
 }
 METRICS_HIGHER_IS_BETTER = {
-    "replay.checkpoint_hits",
     "replay.stride_hits",
     "replay.bug_set_copies",
     "replay.cycles_avoided",

@@ -122,7 +122,7 @@ threadSweep(const rtl::PpConfig &config, bench::JsonWriter &json)
 
 /**
  * Out-of-core sweep on the largest HDL corpus design: residency
- * budget x worker-process count, each run differenced against the
+ * budget x worker-thread count, each run differenced against the
  * unbounded in-memory graph. The bench_diff gate holds the
  * tight-budget rows to `identical` and `residency_under_budget`
  * exactly — completing the design inside the budget is the headline
@@ -140,31 +140,31 @@ oocSweep(bench::JsonWriter &json)
     }
     const fsm::Model &model = *translated.value().model;
 
-    std::printf("\nout-of-core sweep on %s (budget x processes):\n",
+    std::printf("\nout-of-core sweep on %s (budget x threads):\n",
                 design.name);
-    std::printf("%10s %6s %12s %11s %9s %9s %10s %10s\n",
-                "budget KiB", "procs", "states", "spill B",
+    std::printf("%10s %7s %12s %11s %9s %9s %10s %10s\n",
+                "budget KiB", "threads", "states", "spill B",
                 "pg out", "pg in", "resident", "identical");
 
     struct Point
     {
         size_t budgetKb;
-        unsigned processes;
+        unsigned threads;
     };
-    const Point points[] = {{0, 1}, {32, 1}, {32, 2}, {0, 2}};
+    const Point points[] = {{0, 1}, {32, 1}, {0, 4}, {32, 4}};
 
     uint64_t base_fingerprint = 0;
     for (const Point &point : points) {
         murphi::EnumOptions options;
         options.memoryBudgetBytes = point.budgetKb * 1024;
-        options.numProcesses = point.processes;
+        options.numThreads = point.threads;
         murphi::Enumerator enumerator(model, options);
         WallTimer timer;
         auto graph = enumerator.runOrThrow();
         double seconds = timer.seconds();
         const auto &stats = enumerator.stats();
         uint64_t fp = graphFingerprint(graph);
-        if (point.budgetKb == 0 && point.processes == 1)
+        if (point.budgetKb == 0 && point.threads == 1)
             base_fingerprint = fp;
         const bool identical = fp == base_fingerprint;
         const bool under_budget =
@@ -172,8 +172,8 @@ oocSweep(bench::JsonWriter &json)
             (stats.residencyHighWaterBytes <=
                  options.memoryBudgetBytes &&
              stats.spillFallbacks == 0);
-        std::printf("%10zu %6u %12s %11s %9s %9s %10s %10s\n",
-                    point.budgetKb, point.processes,
+        std::printf("%10zu %7u %12s %11s %9s %9s %10s %10s\n",
+                    point.budgetKb, point.threads,
                     withCommas(graph.numStates()).c_str(),
                     withCommas(stats.spillBytesWritten).c_str(),
                     withCommas(stats.pageOuts).c_str(),
@@ -184,7 +184,7 @@ oocSweep(bench::JsonWriter &json)
         json.add("kind", "ooc_sweep");
         json.add("design", design.name);
         json.add("budget_kb", (uint64_t)point.budgetKb);
-        json.add("processes", point.processes);
+        json.add("threads", point.threads);
         json.add("states", (uint64_t)graph.numStates());
         json.add("edges", (uint64_t)graph.numEdges());
         json.add("wall_seconds", seconds);

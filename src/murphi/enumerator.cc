@@ -1,11 +1,10 @@
 /**
  * @file
  * The enumerator's search: one level-synchronous BFS that serves
- * every configuration. Sequential is one worker, in-memory is an
- * unbounded budget, and worker processes are a different place to
- * run the same expansion. No configuration changes a produced byte
+ * every configuration. Sequential is one worker and in-memory is an
+ * unbounded budget. No configuration changes a produced byte
  * (tests/test_enum_ooc.cc and tests/test_enum_parallel.cc hold every
- * budget x worker x process x kernel cell to a plain reference BFS).
+ * budget x worker x kernel cell to a plain reference BFS).
  *
  *  - Delayed duplicate detection. Workers never probe the global
  *    state table; every destination is interned into a level-local
@@ -28,13 +27,6 @@
  *    are not retained, fails the run with a typed error — never a
  *    silently different graph. With no budget every partition stays
  *    resident and no spill directory is created.
- *
- *  - Forked expansion workers (numProcesses > 1). Frontier slices
- *    ship to child processes over CRC-framed pipes and the raw
- *    transition streams are replayed here through the identical
- *    interning path, so the children contribute cycles, not
- *    semantics. A worker dying mid-level degrades to re-expanding
- *    its slice in-process, which produces the same transitions.
  */
 
 #include "enumerator.hh"
@@ -109,10 +101,7 @@ EnumStats::render() const
                             withCommas(minShardStates).c_str(),
                             withCommas(maxShardStates).c_str());
     }
-    if (numProcesses > 1 || spillBytesWritten || pageIns || pageOuts ||
-        spillFallbacks) {
-        out += formatString("Worker processes        %u\n",
-                            numProcesses);
+    if (spillBytesWritten || pageIns || pageOuts || spillFallbacks) {
         out += formatString("Spill bytes written     %s\n",
                             humanBytes(spillBytesWritten).c_str());
         out += formatString("Shard pages in/out      %s / %s\n",
@@ -413,41 +402,6 @@ Enumerator::search(unsigned num_threads)
             graph.addStateUnretained();
     }
 
-    // Forked expansion workers (see ooc::ProcessPool). The parent
-    // stays single-threaded in this mode — the children are the
-    // parallelism.
-    std::optional<ooc::ProcessPool> pool;
-    if (options_.numProcesses > 1) {
-        pool.emplace(model_, program_,
-                     stats_.kernelUsed == StepKernel::BitSliced,
-                     options_.numProcesses, state_bits);
-        bool any_alive = false;
-        for (unsigned w = 0; w < pool->size(); ++w)
-            any_alive = any_alive || pool->alive(w);
-        if (!any_alive) {
-            spill_fallback("no expansion worker could be forked; "
-                           "expanding in-process");
-            pool.reset();
-        }
-    }
-
-    // Parent-side kernels, for single-process mode worker threads
-    // (constructed per worker below) and for re-expanding the slice
-    // of a lost worker process (constructed lazily here, reused
-    // across levels — so sliced fallback lanes must be reported as
-    // deltas, mirroring what the children do).
-    std::optional<compile::ScalarKernel> local_scalar;
-    std::optional<compile::SlicedKernel> local_sliced;
-    uint64_t local_sliced_reported = 0;
-    auto local_kernels = [&] {
-        if (program_ && !local_scalar && !local_sliced) {
-            if (stats_.kernelUsed == StepKernel::BitSliced)
-                local_sliced.emplace(program_);
-            else
-                local_scalar.emplace(program_);
-        }
-    };
-
     /** One worker-discovered transition; dst is provisional. */
     struct TransRec
     {
@@ -465,9 +419,7 @@ Enumerator::search(unsigned num_threads)
     };
 
     // Intern a destination into its partition's candidate table and
-    // return its (stable for the level) provisional id. This is the
-    // only interning path — thread workers, process-stream replay
-    // and lost-worker re-expansion all land here. The small
+    // return its (stable for the level) provisional id. The small
     // level-local candidate tables stay cache-resident; probing the
     // whole table per transition instead measured slower.
     auto intern_cand = [&](BitVec &&state) -> graph::StateId {
@@ -508,11 +460,6 @@ Enumerator::search(unsigned num_threads)
             error = "enumeration cancelled";
             break;
         }
-        if (hooks && hooks->onLevelStart) {
-            hooks->onLevelStart(level_index,
-                                pool ? pool->pids()
-                                     : std::vector<int>{});
-        }
         WallTimer level_timer;
 
         // Reload a spilled frontier. The file carries the level, the
@@ -551,27 +498,40 @@ Enumerator::search(unsigned num_threads)
         }
 
         const unsigned workers = static_cast<unsigned>(
-            std::max<size_t>(1, std::min<size_t>(
-                                    pool ? pool->size() : num_threads,
-                                    width)));
+            std::max<size_t>(1, std::min<size_t>(num_threads, width)));
         std::vector<WorkerOut> outs(workers);
         frontier_gauge.set(static_cast<int64_t>(width));
         telemetry::ScopedSpan level_span("enum.level", "level",
                                          level_index, "frontier",
                                          width);
 
-        // Expand [begin, end) of the level in-process with the given
-        // kernels, recording into `out` in exactly the canonical
-        // order (sources in level order, transitions in generation
-        // order). Used by the worker threads and by lost-process
-        // re-expansion, so thread mode and process mode cannot
-        // diverge in recording semantics.
-        auto expand_slice = [&](WorkerOut &out, size_t begin,
-                                size_t end,
-                                compile::ScalarKernel *scalar,
-                                compile::SlicedKernel *sliced) {
-            out.perSource.reserve(out.perSource.size() +
-                                  (end - begin));
+        // Each worker expands [begin, end) of the level, recording
+        // into its own WorkerOut in exactly the canonical order
+        // (sources in level order, transitions in generation order).
+        std::vector<uint64_t> finish_ns(workers, 0);
+        const uint64_t job_id = telemetry::currentJobId();
+        auto expand = [&, job_id](unsigned w) {
+            telemetry::JobScope job_scope(job_id);
+            const size_t begin = width * w / workers;
+            const size_t end = width * (w + 1) / workers;
+            if (telemetry::tracingEnabled()) {
+                telemetry::setThreadName(
+                    formatString("enum.worker.%u", w));
+            }
+            telemetry::ScopedSpan expand_span(
+                "enum.expand", "worker", w, "sources", end - begin);
+            // Per-worker step kernels: kernels hold mutable scratch
+            // and are not thread-safe.
+            std::optional<compile::ScalarKernel> scalar;
+            std::optional<compile::SlicedKernel> sliced;
+            if (program_) {
+                if (stats_.kernelUsed == StepKernel::BitSliced)
+                    sliced.emplace(program_);
+                else
+                    scalar.emplace(program_);
+            }
+            WorkerOut &out = outs[w];
+            out.perSource.reserve(end - begin);
             std::unordered_set<uint64_t> dst_seen;
             auto record = [&](uint64_t code,
                               fsm::Transition &&transition) {
@@ -579,16 +539,13 @@ Enumerator::search(unsigned num_threads)
                 const uint32_t instrs = transition.instructions;
                 const graph::StateId dst =
                     intern_cand(std::move(transition.next));
-                if (first_condition &&
-                    !dst_seen.insert(dst).second) {
+                if (first_condition && !dst_seen.insert(dst).second)
                     return;
-                }
                 out.trans.push_back({code, dst, instrs});
             };
             if (sliced) {
                 for (size_t i = begin; i < end;) {
-                    const size_t chunk =
-                        std::min<size_t>(64, end - i);
+                    const size_t chunk = std::min<size_t>(64, end - i);
                     std::array<const BitVec *, 64> srcs;
                     for (size_t k = 0; k < chunk; ++k)
                         srcs[k] = &level_states[i + k];
@@ -604,13 +561,13 @@ Enumerator::search(unsigned num_threads)
                             }
                             const size_t before = out.trans.size();
                             record(code, std::move(transition));
-                            counts[lane] +=
-                                out.trans.size() - before;
+                            counts[lane] += out.trans.size() - before;
                         });
                     for (size_t k = 0; k < chunk; ++k)
                         out.perSource.push_back(counts[k]);
                     i += chunk;
                 }
+                out.fallbackLanes = sliced->scalarFallbackLanes();
             } else {
                 for (size_t i = begin; i < end; ++i) {
                     const size_t before = out.trans.size();
@@ -626,133 +583,25 @@ Enumerator::search(unsigned num_threads)
                     else
                         model_.forEachTransition(level_states[i],
                                                  on_transition);
-                    out.perSource.push_back(out.trans.size() -
-                                            before);
+                    out.perSource.push_back(out.trans.size() - before);
                 }
             }
+            finish_ns[w] = telemetry::nowNs();
         };
-
-        if (pool) {
-            // Ship every slice before collecting any response: the
-            // children read a whole request before writing, so this
-            // cannot deadlock, and it keeps all workers busy.
-            std::vector<const BitVec *> ptrs(width);
-            for (size_t i = 0; i < width; ++i)
-                ptrs[i] = &level_states[i];
-            std::vector<char> sent(workers, 0);
-            for (unsigned w = 0; w < workers; ++w) {
-                const size_t begin = width * w / workers;
-                const size_t end = width * (w + 1) / workers;
-                sent[w] = pool->sendBatch(w, ptrs.data() + begin,
-                                          end - begin);
-            }
-            for (unsigned w = 0; w < workers; ++w) {
-                const size_t begin = width * w / workers;
-                const size_t end = width * (w + 1) / workers;
-                ooc::ProcessPool::Expansion exp;
-                if (!sent[w] || !pool->recvBatch(w, exp)) {
-                    // Worker lost (killed, fork failed, damaged
-                    // frame, oversize level): re-expand its slice
-                    // here — same kernels, same order, same graph.
-                    spill_fallback("expansion worker lost; "
-                                   "re-expanding slice in-process");
-                    local_kernels();
-                    expand_slice(
-                        outs[w], begin, end,
-                        local_scalar ? &*local_scalar : nullptr,
-                        local_sliced ? &*local_sliced : nullptr);
-                    if (local_sliced) {
-                        const uint64_t now =
-                            local_sliced->scalarFallbackLanes();
-                        outs[w].fallbackLanes +=
-                            now - local_sliced_reported;
-                        local_sliced_reported = now;
-                    }
-                    continue;
-                }
-                // Fold the child's spans into this trace as one
-                // synthetic thread per worker process.
-                if (!exp.spans.empty())
-                    telemetry::recordForeignSpans(
-                        formatString("ooc.child.%u", w), exp.spans);
-                // Replay the child's raw transition stream through
-                // the same interning/dedup path the in-process
-                // expansion uses.
-                WorkerOut &out = outs[w];
-                out.fallbackLanes += exp.fallbackLanes;
-                out.perSource.reserve(exp.perSource.size());
-                std::unordered_set<uint64_t> dst_seen;
-                size_t cursor = 0;
-                for (size_t i = 0; i < exp.perSource.size(); ++i) {
-                    dst_seen.clear();
-                    const size_t before = out.trans.size();
-                    for (uint64_t t = 0; t < exp.perSource[i];
-                         ++t, ++cursor) {
-                        ++out.valid;
-                        const graph::StateId dst = intern_cand(
-                            std::move(exp.states[cursor]));
-                        if (first_condition &&
-                            !dst_seen.insert(dst).second) {
-                            continue;
-                        }
-                        out.trans.push_back(
-                            {exp.codes[cursor], dst,
-                             exp.instrs[cursor]});
-                    }
-                    out.perSource.push_back(out.trans.size() -
-                                            before);
-                }
-            }
+        if (workers == 1) {
+            expand(0);
         } else {
-            std::vector<uint64_t> finish_ns(workers, 0);
-            const uint64_t job_id = telemetry::currentJobId();
-            auto expand = [&, job_id](unsigned w) {
-                telemetry::JobScope job_scope(job_id);
-                const size_t begin = width * w / workers;
-                const size_t end = width * (w + 1) / workers;
-                if (telemetry::tracingEnabled()) {
-                    telemetry::setThreadName(
-                        formatString("enum.worker.%u", w));
-                }
-                telemetry::ScopedSpan expand_span(
-                    "enum.expand", "worker", w, "sources",
-                    end - begin);
-                // Per-worker step kernels: kernels hold mutable
-                // scratch and are not thread-safe.
-                std::optional<compile::ScalarKernel> scalar;
-                std::optional<compile::SlicedKernel> sliced;
-                if (program_) {
-                    if (stats_.kernelUsed == StepKernel::BitSliced)
-                        sliced.emplace(program_);
-                    else
-                        scalar.emplace(program_);
-                }
-                expand_slice(outs[w], begin, end,
-                             scalar ? &*scalar : nullptr,
-                             sliced ? &*sliced : nullptr);
-                if (sliced) {
-                    outs[w].fallbackLanes =
-                        sliced->scalarFallbackLanes();
-                }
-                finish_ns[w] = telemetry::nowNs();
-            };
-            if (workers == 1) {
-                expand(0);
-            } else {
-                std::vector<std::thread> threads;
-                threads.reserve(workers);
-                for (unsigned w = 0; w < workers; ++w)
-                    threads.emplace_back(expand, w);
-                for (std::thread &t : threads)
-                    t.join();
-            }
-            const uint64_t slowest = *std::max_element(
-                finish_ns.begin(), finish_ns.end());
-            for (unsigned w = 0; w < workers; ++w) {
-                barrier_wait.record(
-                    double(slowest - finish_ns[w]) / 1e9);
-            }
+            std::vector<std::thread> threads;
+            threads.reserve(workers);
+            for (unsigned w = 0; w < workers; ++w)
+                threads.emplace_back(expand, w);
+            for (std::thread &t : threads)
+                t.join();
         }
+        const uint64_t slowest =
+            *std::max_element(finish_ns.begin(), finish_ns.end());
+        for (unsigned w = 0; w < workers; ++w)
+            barrier_wait.record(double(slowest - finish_ns[w]) / 1e9);
 
         stats_.transitionsTried += uint64_t(width) * combos;
         for (const WorkerOut &out : outs) {
@@ -937,8 +786,7 @@ Enumerator::search(unsigned num_threads)
     stats_.numEdges = graph.numEdges();
     stats_.bitsPerState = state_bits;
     stats_.cpuSeconds = timer.seconds();
-    stats_.numThreads = pool ? 1 : num_threads;
-    stats_.numProcesses = pool ? pool->size() : 1;
+    stats_.numThreads = num_threads;
     stats_.numShards = num_parts;
     stats_.residencyHighWaterBytes = budget.highWaterBytes;
     size_t table_bytes = 0;

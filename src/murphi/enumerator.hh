@@ -14,16 +14,15 @@
  *    distinct (src, dst, condition), which catches the Figure 4.2
  *    "fewer behaviours" bug class at the cost of a larger graph.
  *
- * There is one search: a level-synchronous BFS. Workers (threads, or
- * forked processes when numProcesses > 1) expand disjoint slices of
- * the current level and intern destinations into a partitioned state
- * table with provisional ids; canonical ids are assigned in BFS
- * discovery order at each level barrier. One worker is the
- * sequential search. A memory budget pages cold table partitions and
- * the frontier to disk; no budget keeps everything resident. The
- * produced StateGraph is bit-identical for every worker count,
- * process count, budget and step kernel (see DESIGN.md, "The
- * enumeration engine").
+ * There is one search: a level-synchronous BFS. Worker threads
+ * expand disjoint slices of the current level and intern
+ * destinations into a partitioned state table with provisional ids;
+ * canonical ids are assigned in BFS discovery order at each level
+ * barrier. One worker is the sequential search. A memory budget
+ * pages cold table partitions and the frontier to disk; no budget
+ * keeps everything resident. The produced StateGraph is
+ * bit-identical for every worker count, budget and step kernel (see
+ * DESIGN.md, "The enumeration engine").
  */
 
 #ifndef ARCHVAL_MURPHI_ENUMERATOR_HH
@@ -122,23 +121,12 @@ struct EnumOptions
      *  A fresh subdirectory is created per run and removed after. */
     std::string spillDir;
 
-    /**
-     * Expansion worker processes (1 = expand in-process on
-     * numThreads threads). Above 1, frontier slices are shipped to
-     * forked workers over pipes and the raw transition streams are
-     * replayed through the same interning path in-process expansion
-     * uses, so the graph stays bit-identical. A worker dying
-     * mid-level degrades to local re-expansion of its slice
-     * (counted in enum.spill_fallbacks).
-     */
-    unsigned numProcesses = 1;
-
     /** State table partition count (0 = default; rounded up to a
      *  power of two). 1 is legal — the pathological single
      *  partition — and mainly useful for tests. */
     size_t oocPartitions = 0;
 
-    /** Fault-injection hooks for spill files and worker processes
+    /** Fault-injection hooks for spill files
      *  (testing only; see ooc::TestHooks). Not owned. */
     const ooc::TestHooks *testHooks = nullptr;
 };
@@ -186,8 +174,7 @@ struct EnumStats
     size_t maxShardStates = 0;    ///< final occupancy, fullest shard
     std::vector<LevelStats> levels; ///< per-BFS-level breakdown
 
-    /** @name Paging and worker processes (zero when unused) @{ */
-    unsigned numProcesses = 1;    ///< expansion worker processes
+    /** @name Paging (zero when unused) @{ */
     uint64_t spillBytesWritten = 0; ///< spill file bytes written
     uint64_t pageIns = 0;         ///< shard page-in operations
     uint64_t pageOuts = 0;        ///< shard page-out operations

@@ -200,6 +200,10 @@ Daemon::start()
 void
 Daemon::stop()
 {
+    // Under mutex_: wait() sees stopping_ only after the listeners
+    // were shut down here, so it cannot close (and reset) their fds
+    // while this thread still reads them.
+    std::lock_guard<std::mutex> lock(mutex_);
     if (stopping_.exchange(true))
         return;
     // Wake the accept threads; their accept() fails and they exit.

@@ -128,7 +128,8 @@ class Daemon
     std::atomic<uint64_t> nextConnId_{1}; ///< JobManager client keys
     std::vector<std::thread> acceptThreads_;
 
-    std::mutex mutex_; ///< guards conns_, connThreads_, stopped_
+    std::mutex mutex_; ///< guards conns_, connThreads_, stopped_,
+                       ///< and stop()'s listener shutdown
     std::condition_variable stopCv_;
     std::atomic<bool> stopping_{false};
     bool stopped_ = false; ///< teardown already ran

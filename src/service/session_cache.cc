@@ -110,6 +110,13 @@ DesignSpec::fromJson(const json::Value &design)
             "bad request: design field 'nestedPrefixSplits' is no "
             "longer supported (tours are always plain splits)");
     }
+    // Likewise forked expansion workers: enumeration parallelism is
+    // enumThreads alone.
+    if (design.has("enumProcesses")) {
+        return Result<DesignSpec>::error(
+            "bad request: design field 'enumProcesses' is no longer "
+            "supported (use enumThreads)");
+    }
     std::string error;
     if (design.has("preset")) {
         if (!design.get("preset").isString())
@@ -119,7 +126,6 @@ DesignSpec::fromJson(const json::Value &design)
     }
     uint64_t line_words = spec.lineWords;
     uint64_t enum_threads = spec.enumThreads;
-    uint64_t enum_processes = spec.enumProcesses;
     bool model_branches = false;
     bool dual_issue = false;
     if (!readCount(design, "lineWords", line_words, error) ||
@@ -127,7 +133,6 @@ DesignSpec::fromJson(const json::Value &design)
         !readCount(design, "enumThreads", enum_threads, error) ||
         !readCount(design, "memoryBudgetBytes",
                    spec.memoryBudgetBytes, error) ||
-        !readCount(design, "enumProcesses", enum_processes, error) ||
         !readCount(design, "maxInstructionsPerTrace",
                    spec.maxInstructionsPerTrace, error) ||
         !readCount(design, "vectorSeed", spec.vectorSeed, error) ||
@@ -152,8 +157,6 @@ DesignSpec::fromJson(const json::Value &design)
     }
     spec.lineWords = static_cast<unsigned>(line_words);
     spec.enumThreads = static_cast<unsigned>(enum_threads);
-    spec.enumProcesses =
-        static_cast<unsigned>(std::max<uint64_t>(1, enum_processes));
     if (design.has("modelBranches"))
         spec.modelBranches = model_branches ? 1 : 0;
     if (design.has("dualIssue"))
@@ -200,7 +203,6 @@ Session::ensure(Stage stage, const std::atomic<bool> *cancel)
                 spec_.compiledStep ? murphi::StepKernel::BitSliced
                                    : murphi::StepKernel::Interpreted;
             options.memoryBudgetBytes = spec_.memoryBudgetBytes;
-            options.numProcesses = std::max(1u, spec_.enumProcesses);
             options.spillDir = spec_.spillDir;
             murphi::Enumerator enumerator(*model_, options);
             Result<graph::StateGraph> result = enumerator.run();

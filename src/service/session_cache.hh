@@ -76,14 +76,13 @@ struct DesignSpec
      *  either way, so it cannot invalidate a cached product. */
     bool compiledStep = false;
 
-    /** Out-of-core enumeration knobs (murphi::EnumOptions). All
-     *  three are excluded from the fingerprint for the same reason
-     *  as enumThreads/compiledStep: the enumerated graph is
+    /** Out-of-core enumeration knobs (murphi::EnumOptions). Both
+     *  are excluded from the fingerprint for the same reason as
+     *  enumThreads/compiledStep: the enumerated graph is
      *  byte-identical for every setting, so neither the residency
-     *  budget, the worker-process count nor the spill directory can
-     *  change any cached product. */
+     *  budget nor the spill directory can change any cached
+     *  product. */
     uint64_t memoryBudgetBytes = 0; ///< 0 = fully in-memory
-    unsigned enumProcesses = 1;     ///< forked expansion workers
     std::string spillDir;           ///< spill root ("" = $TMPDIR)
 
     /** Tour generation (graph::TourOptions). */
@@ -110,7 +109,9 @@ struct DesignSpec
      * their defaults; a present field of the wrong type is an error
      * (answered as a `bad request` frame), never a silent default —
      * a client sending `"maxStates": 500000.0` must not land on a
-     * different fingerprint than the 500000 it meant.
+     * different fingerprint than the 500000 it meant. A field that
+     * was removed from the spec is a bad request too, whatever its
+     * value.
      */
     static Result<DesignSpec> fromJson(const json::Value &design);
 };

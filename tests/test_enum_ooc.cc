@@ -1,13 +1,12 @@
 /**
  * @file
- * Differential battery for the enumerator's paging and worker
- * processes: for every corpus design and the PP FSM model, the
- * disk-backed search must produce a graph byte-identical to the
- * reference BFS (enum_reference.hh) across every step kernel, worker
- * count, residency budget — including the pathological
- * single-partition table — and process count, and every
- * injected spill fault (flipped CRC byte, truncated record file,
- * killed worker process, unusable spill directory) must either
+ * Differential battery for the enumerator's paging: for every
+ * corpus design and the PP FSM model, the disk-backed search must
+ * produce a graph byte-identical to the reference BFS
+ * (enum_reference.hh) across every step kernel, worker count and
+ * residency budget — including the pathological single-partition
+ * table — and every injected spill fault (flipped CRC byte,
+ * truncated record file, unusable spill directory) must either
  * rebuild the identical graph or surface a typed error, counted in
  * enum.spill_fallbacks. Registered under the ctest label `ooc`;
  * ARCHVAL_ENUM_SOAK widens the PP configuration to paper scale.
@@ -15,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include <csignal>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
@@ -29,20 +27,6 @@
 #include "murphi/ooc.hh"
 #include "rtl/pp_fsm_model.hh"
 #include "support/record_file.hh"
-
-// TSan does not support fork-without-exec, so the multi-process
-// differentials are skipped under it; the thread and single-process
-// out-of-core paths still run TSan-clean.
-#if defined(__SANITIZE_THREAD__)
-#define ARCHVAL_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define ARCHVAL_TSAN 1
-#endif
-#endif
-#ifndef ARCHVAL_TSAN
-#define ARCHVAL_TSAN 0
-#endif
 
 namespace archval
 {
@@ -193,51 +177,6 @@ TEST(EnumOoc, MaxStatesCapStillEnforced)
               std::string::npos);
 }
 
-// --- Multi-process differentials ------------------------------------
-
-TEST(EnumOoc, MultiProcessIdenticalToSingleProcess)
-{
-    if (ARCHVAL_TSAN)
-        GTEST_SKIP() << "fork without exec is unsupported under TSan";
-    rtl::PpFsmModel model(rtl::PpConfig::smallPreset());
-    const std::string expected = referenceBytes(model, baseOptions());
-    for (murphi::StepKernel kernel :
-         {murphi::StepKernel::Interpreted,
-          murphi::StepKernel::BitSliced}) {
-        murphi::EnumOptions options = baseOptions();
-        options.compiledStep = kernel;
-        for (unsigned processes : {2u, 4u}) {
-            for (size_t budget :
-                 {size_t(0), kBudgets[1].budgetBytes}) {
-                options.numProcesses = processes;
-                options.memoryBudgetBytes = budget;
-                murphi::Enumerator ooc(model, options);
-                auto graph = ooc.runOrThrow();
-                EXPECT_EQ(test::fingerprintBytes(graph), expected)
-                    << processes << " processes, budget " << budget;
-                EXPECT_EQ(ooc.stats().spillFallbacks, 0u);
-                EXPECT_EQ(ooc.stats().numProcesses, processes);
-            }
-        }
-    }
-}
-
-TEST(EnumOoc, CorpusDesignMultiProcessIdentical)
-{
-    if (ARCHVAL_TSAN)
-        GTEST_SKIP() << "fork without exec is unsupported under TSan";
-    auto result = hdl::translateCorpus(hdl::largestCorpusDesign());
-    ASSERT_TRUE(result.ok()) << result.errorMessage();
-    const fsm::Model &model = *result.value().model;
-    murphi::EnumOptions options = baseOptions();
-    options.compiledStep = murphi::StepKernel::Bytecode;
-    const std::string expected = referenceBytes(model, options);
-    options.numProcesses = 2;
-    options.memoryBudgetBytes = kBudgets[1].budgetBytes;
-    murphi::Enumerator ooc(model, options);
-    EXPECT_EQ(test::fingerprintBytes(ooc.runOrThrow()), expected);
-}
-
 // --- Fault injection ------------------------------------------------
 
 /** First shard page-out gets one payload byte flipped: the CRC must
@@ -366,33 +305,6 @@ TEST(EnumOoc, UnusableSpillDirDegradesInMemory)
     EXPECT_GE(ooc.stats().spillFallbacks, 1u);
     EXPECT_EQ(ooc.stats().pageOuts, 0u);
     EXPECT_EQ(ooc.stats().spillBytesWritten, 0u);
-}
-
-/** Killing a worker process mid-level re-expands its slice in the
- *  parent: identical graph, counted fallback. */
-TEST(EnumOoc, KilledWorkerProcessReexpandsLocally)
-{
-    if (ARCHVAL_TSAN)
-        GTEST_SKIP() << "fork without exec is unsupported under TSan";
-    rtl::PpFsmModel model(rtl::PpConfig::smallPreset());
-    murphi::EnumOptions options = baseOptions();
-    const std::string expected = referenceBytes(model, options);
-    bool killed = false;
-    murphi::ooc::TestHooks hooks;
-    hooks.onLevelStart = [&](size_t level,
-                             const std::vector<int> &pids) {
-        if (killed || level != 1 || pids.empty() || pids[0] <= 0)
-            return;
-        ASSERT_EQ(::kill(pids[0], SIGKILL), 0);
-        killed = true;
-    };
-    options.numProcesses = 2;
-    options.testHooks = &hooks;
-    murphi::Enumerator ooc(model, options);
-    auto graph = ooc.runOrThrow();
-    EXPECT_TRUE(killed) << "search ended before level 1";
-    EXPECT_EQ(test::fingerprintBytes(graph), expected);
-    EXPECT_GE(ooc.stats().spillFallbacks, 1u);
 }
 
 // --- Spill file unit coverage ---------------------------------------

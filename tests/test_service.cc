@@ -164,6 +164,18 @@ struct SignalGuard
     ~SignalGuard() { ::sigaction(SIGUSR1, &old, nullptr); }
 };
 
+/** Block until the signaler's first SIGUSR1 has been handled. The
+ *  tests call this while the other side of the transfer is held
+ *  back, so the target thread is blocked in send()/recv() when that
+ *  signal lands and `g_signal_count > 0` cannot race the transfer's
+ *  end. */
+void
+waitForFirstSignal()
+{
+    while (g_signal_count.load() == 0)
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+}
+
 } // namespace
 
 TEST(EintrSafety, SendAllDeliversEveryFrameUnderSignalFire)
@@ -204,6 +216,10 @@ TEST(EintrSafety, SendAllDeliversEveryFrameUnderSignalFire)
                 std::chrono::microseconds(100));
         }
     });
+
+    // The sender fills the shrunken buffer and blocks in send()
+    // until draining starts; hold the drain until a signal landed.
+    waitForFirstSignal();
 
     // Drain in small chunks; every byte of every frame must arrive
     // in order, however many signals interrupted the transfer.
@@ -281,6 +297,10 @@ TEST(EintrSafety, RecvRetryDeliversEveryFrameUnderSignalFire)
                 std::chrono::microseconds(100));
         }
     });
+
+    // The receiver sits in recv() until the first chunk is sent;
+    // hold that chunk until a signal landed.
+    waitForFirstSignal();
 
     // Trickle the bytes so the receiver keeps re-entering a blocking
     // recv() between chunks.
@@ -396,6 +416,21 @@ TEST(DesignSpecParse, WrongTypedFieldsAreBadRequests)
             << gone.errorMessage();
         EXPECT_NE(gone.errorMessage().find("nestedPrefixSplits"),
                   std::string::npos)
+            << gone.errorMessage();
+    }
+
+    // So were forked expansion workers: any enumProcesses value is
+    // refused, not silently run on threads.
+    for (const char *text : {"{\"enumProcesses\": 1}",
+                             "{\"enumProcesses\": 4}",
+                             "{\"enumProcesses\": \"two\"}"}) {
+        Result<DesignSpec> gone = parse(text);
+        ASSERT_FALSE(gone.ok()) << text;
+        EXPECT_EQ(gone.errorMessage().rfind(
+                      "bad request: design field 'enumProcesses' is "
+                      "no longer supported",
+                      0),
+                  0u)
             << gone.errorMessage();
     }
 }

@@ -43,7 +43,6 @@ ID_KEYS = (
     "threads",
     "stride",
     "budget_kb",
-    "processes",
     "bug",
     "mutation",
     "limit",
